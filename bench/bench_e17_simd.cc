@@ -1,25 +1,20 @@
 // E17 — the runtime-dispatched SIMD kernel layer (base/simd_kernels.h)
-// versus the always-compiled scalar reference backend, and the batched
-// FPRAS trial loop (seed schema 2) versus the legacy sequential loop
-// (schema 1):
+// versus the always-compiled scalar reference backend:
 //
 //  * membership-oracle throughput on wide automata (512 / 1280 states, so
 //    behaviour sets span 8 / 20 words): compiled bitset run with the
 //    scalar kernels vs the widest backend this CPU supports;
 //  * exact-count DP throughput (interning hashes, memo equality, batched
-//    group combines) under the same scalar/SIMD split;
-//  * FPRAS estimation with schema 1 (sequential trials) vs schema 2
-//    (lockstep batches), both on the SIMD backend.
+//    group combines) under the same scalar/SIMD split.
 //
 // Every SIMD benchmark cross-checks its results against the scalar
-// backend in-run (equal behaviour sets, equal exact counts, bit-identical
-// estimates — the backends are bit-identical by contract), so a kernel
-// divergence fails the benchmark rather than skewing it.
+// backend in-run (equal behaviour sets, equal exact counts — the backends
+// are bit-identical by contract), so a kernel divergence fails the
+// benchmark rather than skewing it.
 //
-// Pair names as BM_ScalarX / BM_SimdX and BM_V1X / BM_V2X so
-// tools/bench_report prints the ratios; `tools/bench_report --gate R ...`
-// turns them into a regression gate. Acceptance (ISSUE 7): >= 1.5x on the
-// membership/bitset pairs, >= 1.3x on the batched FPRAS pair.
+// Pair names as BM_ScalarX / BM_SimdX so tools/bench_report prints the
+// ratios; `tools/bench_report --gate R ...` turns them into a regression
+// gate (>= 1.5x on the membership/bitset pairs).
 
 #include <benchmark/benchmark.h>
 
@@ -30,7 +25,6 @@
 
 #include "automata/compiled_nfta.h"
 #include "automata/exact_count.h"
-#include "automata/fpras.h"
 #include "automata/nfta.h"
 #include "base/bigint.h"
 #include "base/simd_kernels.h"
@@ -42,11 +36,11 @@ namespace {
 // Workloads
 // ---------------------------------------------------------------------------
 
-/// Union-heavy overlap automaton (bench_e15's OverlapChains): w chain
-/// states under one root, each accepting b-chains, even ones also
-/// c-chains, adjacent pairs also reachable together. With w in the
-/// hundreds the per-symbol transition groups have hundreds of lanes and
-/// behaviour sets span many words — the batched kernel probe's territory.
+/// Union-heavy overlap automaton: w chain states under one root, each
+/// accepting b-chains, even ones also c-chains, adjacent pairs also
+/// reachable together. With w in the hundreds the per-symbol transition
+/// groups have hundreds of lanes and behaviour sets span many words — the
+/// batched kernel probe's territory.
 Nfta OverlapChains(size_t w) {
   Nfta a;
   NftaState q0 = a.AddState();
@@ -71,8 +65,8 @@ Nfta OverlapChains(size_t w) {
   return a;
 }
 
-/// Ambiguous width-w automaton over unary {0,1}-trees (bench_e15's
-/// workload): w parallel chains accept the same strings, so the exact DP
+/// Ambiguous width-w automaton over unary {0,1}-trees: w parallel chains
+/// accept the same strings, so the exact DP
 /// interns and combines many-word behaviour sets at width >= 512.
 Nfta AmbiguousStrings(size_t width) {
   Nfta a;
@@ -251,54 +245,6 @@ void BM_SimdExactDp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdExactDp)->Arg(128)->Arg(512)
     ->Unit(benchmark::kMillisecond);
-
-// ---------------------------------------------------------------------------
-// FPRAS: legacy sequential trials (seed schema 1) vs lockstep batches
-// (schema 2), both on the active SIMD backend. Equal accuracy, different
-// RNG-consumption order — the pair measures the batching restructure.
-// ---------------------------------------------------------------------------
-
-constexpr size_t kFprasDepth = 14;
-
-void FprasBench(benchmark::State& state, int seed_schema) {
-  Nfta a = OverlapChains(static_cast<size_t>(state.range(0)));
-  if (!CompileWith(a, WidestBackend())) {
-    state.SkipWithError("backend not available on this host");
-    return;
-  }
-  FprasConfig cfg;
-  cfg.epsilon = 0.2;
-  cfg.seed = 17;
-  cfg.seed_schema = seed_schema;
-  double est = 0;
-  size_t unions = 0;
-  for (auto _ : state) {
-    NftaFpras fpras(a, cfg);
-    est = fpras.EstimateUpTo(kFprasDepth);
-    benchmark::DoNotOptimize(est);
-    unions = fpras.union_estimations();
-  }
-  state.counters["unions"] = static_cast<double>(unions);
-  state.counters["estimate"] = est;
-
-  // Cross-check: the same schema on the scalar backend must produce the
-  // bit-identical estimate (the schema fixes the RNG consumption, the
-  // kernels are bit-identical by contract).
-  Nfta ref = OverlapChains(static_cast<size_t>(state.range(0)));
-  CompileWith(ref, simd::Backend::kScalar);
-  NftaFpras check(ref, cfg);
-  if (check.EstimateUpTo(kFprasDepth) != est) {
-    state.SkipWithError("FPRAS estimate diverged between backends");
-  }
-}
-
-void BM_V1Fpras(benchmark::State& state) { FprasBench(state, 1); }
-BENCHMARK(BM_V1Fpras)->Arg(6)->Arg(10)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
-void BM_V2Fpras(benchmark::State& state) { FprasBench(state, 2); }
-BENCHMARK(BM_V2Fpras)->Arg(6)->Arg(10)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 }  // namespace
 }  // namespace uocqa

@@ -1,8 +1,8 @@
 // E19 — observability overhead (repo experiment).
 //
-// The metrics layer promises two things: it never changes a response byte,
-// and it is cheap enough to leave on in Release. This bench measures both
-// on the E14-style Zipfian serving mix: a hot probe pool that replays from
+// Per-request tracing promises two things: it never changes a response
+// byte, and it is cheap enough to turn on for any request. This bench
+// measures both on the E14-style Zipfian serving mix: a hot probe pool that replays from
 // the warm result cache plus a per-iteration tail of fresh-seeded mc
 // probes that miss and do real solver work — the steady state of a serving
 // process (head traffic hits, tail traffic computes), not an all-hit
@@ -13,26 +13,23 @@
 // would read as >10% while a request that computes anything at all
 // amortizes the same cost below the gate.)
 //
-//   BM_MetricsOff        — ServiceOptions::metrics_enabled = false: every
-//                          instrument handle is null, the uninstrumented
-//                          baseline;
-//   BM_MetricsOn         — the default-on configuration (stage histograms,
-//                          cache/request/pool counters);
-//   BM_MetricsOffTraced / BM_MetricsOnTraced
-//                        — the same pair with trace=1 on every request
-//                          (per-request span collection on top).
+//   BM_Untraced — the service as it always runs (stage histograms,
+//                 cache/request/pool counters), trace=0;
+//   BM_Traced   — the same with trace=1 on every request (per-request span
+//                 collection on top).
 //
-// Both sides of a pair generate the identical request sequence (the fresh
-// tail's seeds advance with a deterministic per-benchmark counter, and mc
-// cost is seed-independent), so the pair times identical work. Before
-// timing, each *On benchmark replays the warmup workload against a
-// metrics-off twin and cross-checks every payload byte — a mismatch fails
-// the bench run, so the determinism contract is enforced in the same run
-// that publishes the overhead numbers.
+// Both sides of the pair generate the identical request sequence (the
+// fresh tail's seeds advance with a deterministic per-benchmark counter,
+// and mc cost is seed-independent), so the pair times identical work.
+// Before timing, BM_Traced replays the warmup workload against an
+// untraced twin and cross-checks every payload byte — a mismatch fails the
+// bench run, so the determinism contract is enforced in the same run that
+// publishes the overhead numbers.
 //
-// tools/bench_report pairs BM_MetricsOff* with BM_MetricsOn* and reports
-// off_time / on_time; CI gates the ratio at 0.95 (a loose bound for shared
-// runners — the pinned-hardware target is <= 3% overhead, ratio >= 0.97).
+// tools/bench_report pairs BM_Untraced with BM_Traced and reports
+// untraced_time / traced_time; CI gates the ratio at 0.95 (a loose bound
+// for shared runners — the pinned-hardware target is <= 3% overhead,
+// ratio >= 0.97).
 //
 // Record results with tools/bench_report (see README):
 //   tools/bench_report build/bench/bench_e19_observability --gate 0.95
@@ -122,46 +119,41 @@ void AppendFreshTail(std::vector<Request>* out, uint64_t seed_base,
   }
 }
 
-ServiceOptions MetricsConfig(bool enabled) {
-  ServiceOptions options;
-  options.metrics_enabled = enabled;
-  return options;
-}
-
-/// The in-run byte-identity cross-check: replays `workload` against a
-/// metrics-off twin service and compares every payload byte with the
-/// instrumented service's responses. Returns false (and fails the bench via
+/// The in-run byte-identity cross-check: replays `workload` without trace
+/// against a twin service and compares every payload byte with the traced
+/// service's responses. Returns false (and fails the bench via
 /// SkipWithError at the call site) on any divergence.
-bool PayloadsMatchMetricsOffTwin(const GeneratedInstance& inst,
-                                 const std::vector<Request>& workload,
-                                 const std::vector<ServiceResponse>& on) {
-  QueryService twin(inst.db, inst.keys, MetricsConfig(false));
-  std::vector<ServiceResponse> off = twin.ExecuteBatch(workload, 1);
-  if (off.size() != on.size()) return false;
-  for (size_t i = 0; i < off.size(); ++i) {
-    if (off[i].payload != on[i].payload ||
-        off[i].status.ok() != on[i].status.ok()) {
+bool PayloadsMatchUntracedTwin(const GeneratedInstance& inst,
+                               std::vector<Request> workload,
+                               const std::vector<ServiceResponse>& traced) {
+  for (Request& req : workload) req.trace = false;
+  QueryService twin(inst.db, inst.keys);
+  std::vector<ServiceResponse> untraced = twin.ExecuteBatch(workload, 1);
+  if (untraced.size() != traced.size()) return false;
+  for (size_t i = 0; i < untraced.size(); ++i) {
+    if (untraced[i].payload != traced[i].payload ||
+        untraced[i].status.ok() != traced[i].status.ok()) {
       return false;
     }
   }
   return true;
 }
 
-void RunServing(benchmark::State& state, bool metrics, bool trace) {
+void RunServing(benchmark::State& state, bool trace) {
   GeneratedInstance inst = MakeServeDb();
   std::vector<Request> warmup = ZipfianWorkload(trace);
   AppendFreshTail(&warmup, /*seed_base=*/500, trace);
-  QueryService service(inst.db, inst.keys, MetricsConfig(metrics));
+  QueryService service(inst.db, inst.keys);
   std::vector<ServiceResponse> warm = service.ExecuteBatch(warmup, 1);
-  if (metrics && !PayloadsMatchMetricsOffTwin(inst, warmup, warm)) {
+  if (trace && !PayloadsMatchUntracedTwin(inst, warmup, warm)) {
     state.SkipWithError(
-        "byte-identity violation: metrics changed a response payload");
+        "byte-identity violation: tracing changed a response payload");
     return;
   }
   const std::vector<Request> hot = ZipfianWorkload(trace);
   // Fresh-tail seeds start past the warmup's and advance per iteration, so
-  // no timed tail ever replays — and the On/Off twin draws the identical
-  // sequence.
+  // no timed tail ever replays — and the traced/untraced pair draws the
+  // identical sequence.
   uint64_t seed_base = 1000;
   for (auto _ : state) {
     std::vector<Request> workload = hot;
@@ -175,25 +167,13 @@ void RunServing(benchmark::State& state, bool metrics, bool trace) {
   state.counters["requests"] = static_cast<double>(kRequests);
 }
 
-void BM_MetricsOff(benchmark::State& state) {
-  RunServing(state, /*metrics=*/false, /*trace=*/false);
+void BM_Untraced(benchmark::State& state) {
+  RunServing(state, /*trace=*/false);
 }
-BENCHMARK(BM_MetricsOff)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_Untraced)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_MetricsOn(benchmark::State& state) {
-  RunServing(state, /*metrics=*/true, /*trace=*/false);
-}
-BENCHMARK(BM_MetricsOn)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_MetricsOffTraced(benchmark::State& state) {
-  RunServing(state, /*metrics=*/false, /*trace=*/true);
-}
-BENCHMARK(BM_MetricsOffTraced)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_MetricsOnTraced(benchmark::State& state) {
-  RunServing(state, /*metrics=*/true, /*trace=*/true);
-}
-BENCHMARK(BM_MetricsOnTraced)->Unit(benchmark::kMillisecond)->UseRealTime();
+void BM_Traced(benchmark::State& state) { RunServing(state, /*trace=*/true); }
+BENCHMARK(BM_Traced)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace uocqa

@@ -248,7 +248,7 @@ uint32_t NftaFpras::SampleFlat(Rng& rng, NftaState q, size_t size,
     // Reclaim rejected attempts by truncating back to the pre-attempt mark:
     // result-neutral (the nodes are garbage either way — RNG consumption
     // and the returned structure are untouched) and it keeps surviving
-    // subtrees contiguous in preorder, which the schema-2 batch sweep
+    // subtrees contiguous in preorder, which the batched trial sweep
     // relies on.
     size_t mark = ctx->pool.nodes.size();
     uint32_t t = SampleComponentFlat(rng, g.components[j], ctx);
@@ -297,11 +297,7 @@ double NftaFpras::EstimateGroup(Group* group) {
   uint64_t union_seed = rng_.NextU64();
   size_t chunks = (samples + kTrialChunk - 1) / kTrialChunk;
   std::vector<std::pair<size_t, size_t>> counts(chunks);  // hits, performed
-  if (config_.seed_schema == 1) {
-    RunTrialsLegacy(group, sum, samples, union_seed, &counts);
-  } else {
-    RunTrialsBatched(group, sum, samples, union_seed, &counts);
-  }
+  RunTrialsBatched(group, sum, samples, union_seed, &counts);
 
   size_t hits = 0;
   size_t performed = 0;
@@ -311,38 +307,6 @@ double NftaFpras::EstimateGroup(Group* group) {
   }
   if (performed == 0) return 0;
   return sum * static_cast<double>(hits) / static_cast<double>(performed);
-}
-
-void NftaFpras::RunTrialsLegacy(
-    Group* group, double sum, size_t samples, uint64_t union_seed,
-    std::vector<std::pair<size_t, size_t>>* counts) {
-  // Schema 1: one Rng stream per chunk, trials sequential within it. This
-  // code path is frozen — it reproduces the historical pinned estimates
-  // byte-for-byte (tests/compiled_nfta_test.cc, FprasBitIdentityTest).
-  std::vector<Component>& comps = group->components;
-  auto run_chunk = [&](size_t c) {
-    Rng rng = Rng::Stream(union_seed, c);
-    SampleCtx ctx;  // pool + bitset scratch, reused across this chunk
-    size_t begin = c * kTrialChunk;
-    size_t end = std::min(samples, begin + kTrialChunk);
-    size_t hits = 0;
-    size_t performed = 0;
-    for (size_t i = begin; i < end; ++i) {
-      // Pick a component proportionally to its estimated size (one
-      // uniform, binary search over the prefix sums).
-      double r = rng.UniformDouble() * sum;
-      size_t j = PickIndex(group->prefix, r);
-      ctx.pool.Clear();
-      uint32_t t = SampleComponentFlat(rng, comps[j], &ctx);
-      if (t == TreePool::kNil) continue;
-      ++performed;
-      int min_idx = MinIndexFlat(*group, t, &ctx);
-      assert(min_idx >= 0);
-      if (static_cast<size_t>(min_idx) == j) ++hits;
-    }
-    (*counts)[c] = {hits, performed};
-  };
-  ParallelForOn(pool(), counts->size(), run_chunk, /*grain=*/1);
 }
 
 void NftaFpras::EnsureLeafRows() {
@@ -444,8 +408,8 @@ uint32_t NftaFpras::SampleFlatBatched(Rng& rng, NftaState q, size_t size,
                                       BatchCtx* ctx) {
   // Mirrors SampleFlat pick-for-pick (same uniforms, same accept/reject
   // decisions — the cached rows are bit-identical to the recursive
-  // evaluation), so schema-2 estimates don't depend on which of the two
-  // builders produced them. The difference is purely cost: each pooled
+  // evaluation), so estimates don't depend on which of the two builders
+  // produced them. The difference is purely cost: each pooled
   // node's behaviour row is computed once (ComputeRow, on subtree
   // completion) and the min-index checks read the rows, instead of
   // re-running the recursive bitset evaluation per nesting level.
@@ -500,11 +464,11 @@ uint32_t NftaFpras::SampleFlatBatched(Rng& rng, NftaState q, size_t size,
 void NftaFpras::RunTrialsBatched(
     Group* group, double sum, size_t samples, uint64_t union_seed,
     std::vector<std::pair<size_t, size_t>>* counts) {
-  // Schema 2: one Rng stream per trial, chunks evaluated in lockstep
-  // phases. The builds cache one behaviour row per pooled node (computed
-  // in post-order as subtrees complete; truncation reclaims rejected
-  // attempts), so the min-index checks — nested and top-level — read rows
-  // instead of re-evaluating subtrees like the legacy path.
+  // One Rng stream per trial, chunks evaluated in lockstep phases. The
+  // builds cache one behaviour row per pooled node (computed in post-order
+  // as subtrees complete; truncation reclaims rejected attempts), so the
+  // min-index checks — nested and top-level — read rows instead of
+  // re-evaluating subtrees.
   std::vector<Component>& comps = group->components;
   EnsureLeafRows();  // serial: the parallel section below only reads it
   auto run_chunk = [&](size_t c) {

@@ -64,14 +64,10 @@ struct FprasConfig {
   size_t max_rejection_attempts = 64;
   /// RNG seed (estimates are deterministic given the seed).
   uint64_t seed = 1;
-  /// Versioned RNG-consumption schema (see docs/ARCHITECTURE.md):
-  ///  * 1 — legacy: trials run sequentially per chunk, one Rng::Stream per
-  ///    chunk. Byte-identical to the pre-batching implementation at the
-  ///    same seed (the historical pinned estimates).
-  ///  * 2 — batched (default): one Rng::Stream per *trial* (keyed by the
-  ///    global trial index), enabling the lockstep batch evaluation of
-  ///    trial chunks. Estimates differ from schema 1 at the same seed but
-  ///    are equally accurate and equally deterministic.
+  /// The RNG-consumption schema the estimator implements (see
+  /// docs/ARCHITECTURE.md): one Rng::Stream per trial, keyed by the global
+  /// trial index. Informational only — there is one schema and nothing
+  /// reads this field; it names the layout recorded runs were made with.
   int seed_schema = kDefaultSeedSchema;
   /// Split each union into provably-disjoint groups keyed by
   /// (symbol, child sizes) and only sample within groups (on by default;
@@ -150,7 +146,7 @@ class NftaFpras {
     CompiledNfta::Workspace ws;
   };
 
-  /// Per-chunk context for the schema-2 lockstep trial batches: one shared
+  /// Per-chunk context for the lockstep trial batches: one shared
   /// pool holds every trial's winning tree (rejected attempts are reclaimed
   /// by truncation), with a behaviour row maintained per pooled node —
   /// computed once in post-order as each subtree completes, so min-index
@@ -195,18 +191,10 @@ class NftaFpras {
   /// KLM union estimate within one group (components share symbol+sizes).
   /// Trials are chunked (kTrialChunk) and may run on the pool; every cell
   /// the trials sample from is already computed, so the parallel section
-  /// only ever reads `cells_`. Dispatches on config_.seed_schema to the
-  /// legacy sequential path (1) or the lockstep batched path (2).
+  /// only ever reads `cells_`.
   double EstimateGroup(Group* group);
 
-  /// Schema-1 trials: chunk c runs its trials sequentially on
-  /// Rng::Stream(union_seed, c). Kept verbatim from the pre-batching
-  /// implementation — byte-identical estimates at the same seed.
-  void RunTrialsLegacy(Group* group, double sum, size_t samples,
-                       uint64_t union_seed,
-                       std::vector<std::pair<size_t, size_t>>* counts);
-
-  /// Schema-2 trials: each chunk runs its kTrialChunk trials in lockstep
+  /// The KLM trials: each chunk runs its kTrialChunk trials in lockstep
   /// phases (batched picks -> batched row-caching tree builds -> batched
   /// min-index checks over the cached rows), with one Rng::Stream per
   /// trial keyed by the global trial index.

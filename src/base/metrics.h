@@ -17,14 +17,13 @@
 //  1. **Observability never changes a single response byte.** Instruments
 //     only ever *read* the clock and *write* their own atomics; nothing in
 //     this module feeds back into planning, sampling, or cache decisions.
-//     The service determinism suites pin payload bytes with metrics on and
+//     The service determinism suites pin payload bytes with tracing on and
 //     off (tests/observability_test.cc).
 //  2. **No-op when absent.** Every consumer holds nullable handle pointers
 //     and records through the null-tolerant helpers below (or ScopedStage,
-//     which skips even the clock read when it has nowhere to write). A
-//     service constructed with metrics disabled runs the exact same code
-//     with null handles — that is the `BM_MetricsOff` baseline the bench
-//     gate compares against.
+//     which skips even the clock read when it has nowhere to write), so the
+//     engine, live instances and thread pools run unchanged without a
+//     service. A service always has a registry.
 //  3. **Hot-path cost is one relaxed fetch_add** (plus one steady_clock
 //     read per timed stage). Handles are resolved by name once, at
 //     registration time, never per request.

@@ -10,10 +10,10 @@
 
 namespace uocqa {
 
-/// The default FPRAS seed schema. Schema 1 is the legacy per-trial
-/// stream layout; schema 2 (default since the lockstep batch rewrite)
-/// derives one stream per trial batch. FprasConfig, the request parser,
-/// and the CLI all reference this constant so a schema bump is one edit.
+/// The FPRAS seed schema — the trial RNG layout the estimator implements
+/// (one stream per trial, see docs/ARCHITECTURE.md). Reported by the
+/// version line and named by FprasConfig and Request, so recorded runs
+/// say which layout produced them.
 inline constexpr int kDefaultSeedSchema = 2;
 
 /// The bare semantic version, e.g. "0.1.0" (from the CMake project

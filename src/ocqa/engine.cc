@@ -9,7 +9,6 @@
 #include "db/blocks.h"
 #include "planner/cost.h"
 #include "planner/join_order.h"
-#include "query/eval.h"
 #include "repairs/sampling.h"
 
 namespace uocqa {
@@ -113,7 +112,7 @@ Result<CompiledQuery> OcqaEngine::Compile(const ConjunctiveQuery& query,
   auto planning_start = std::chrono::steady_clock::now();
   UOCQA_ASSIGN_OR_RETURN(
       QueryPlan plan,
-      PlanQuery(db_, query, options.max_width, options.planner));
+      PlanQuery(db_, query, options.max_width));
   plan.planning_micros =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - planning_start)
@@ -296,9 +295,9 @@ BigInt OcqaEngine::ClassicalRepairsEntailingBruteForce(
     for (const BlockOutcome& o : outcomes) {
       if (!o.has_value()) return true;  // not a classical subset repair
     }
-    Database repair = db_.Subset(kept);
-    QueryEvaluator eval(repair, query, order);
-    if (eval.Entails(answer_tuple)) count += uint64_t{1};
+    if (RepairEntails(db_, kept, query, answer_tuple, &order)) {
+      count += uint64_t{1};
+    }
     return true;
   });
   return count;
@@ -389,9 +388,8 @@ double OcqaEngine::MonteCarloUr(const ConjunctiveQuery& query,
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
   return MonteCarloEstimate(
       samples, seed, PoolFor(threads), [&](Rng& rng) {
-        Database repair = db_.Subset(sampler.Sample(rng));
-        QueryEvaluator eval(repair, query, order);
-        return eval.Entails(answer_tuple);
+        return RepairEntails(db_, sampler.Sample(rng), query, answer_tuple,
+                             &order);
       });
 }
 
@@ -404,9 +402,8 @@ double OcqaEngine::MonteCarloUs(const ConjunctiveQuery& query,
   return MonteCarloEstimate(
       samples, seed, PoolFor(threads), [&](Rng& rng) {
         RepairingSequence seq = sampler.Sample(rng);
-        Database result = db_.Subset(ApplySequence(db_, seq));
-        QueryEvaluator eval(result, query, order);
-        return eval.Entails(answer_tuple);
+        return RepairEntails(db_, ApplySequence(db_, seq), query,
+                             answer_tuple, &order);
       });
 }
 

@@ -49,10 +49,6 @@ struct OcqaOptions {
   FprasConfig fpras;
   /// Maximum decomposition width to search for cyclic queries.
   size_t max_width = 6;
-  /// Cost-based planning knobs (join-order search, GHD candidate ranking).
-  /// Planning is a search-effort optimization only: at any setting, results
-  /// are identical and sampling estimates bit-identical at the same seed.
-  PlannerOptions planner;
   /// Execution lanes for the parallel paths (FPRAS trials, Monte-Carlo
   /// sampling, block partitioning): 0 = hardware concurrency, 1 = strictly
   /// serial. Results are bit-identical at every value — parallel work is

@@ -8,6 +8,9 @@ namespace uocqa {
 
 namespace {
 
+/// Decomposition candidates ranked per width.
+constexpr size_t kMaxGhdCandidates = 8;
+
 /// Shortest round-trippable double (mirrors the service layer's formatting
 /// so explain payloads are stable).
 std::string PlanDouble(double v) {
@@ -62,11 +65,11 @@ std::string QueryPlan::ToString() const {
 }
 
 Result<QueryPlan> PlanQuery(const Database& db, const ConjunctiveQuery& query,
-                            size_t max_width, const PlannerOptions& options) {
+                            size_t max_width) {
   CostModel model(db, query);
   QueryPlan plan;
 
-  JoinOrderPlan order = PlanJoinOrder(db, query, model, options.join_order);
+  JoinOrderPlan order = PlanJoinOrder(db, query, model);
   plan.join_order = std::move(order.order);
   plan.order_cost = order.cost;
   plan.greedy_cost = order.greedy_cost;
@@ -74,8 +77,7 @@ Result<QueryPlan> PlanQuery(const Database& db, const ConjunctiveQuery& query,
 
   UOCQA_ASSIGN_OR_RETURN(
       DecompositionChoice choice,
-      RankDecompositions(db, query, model, max_width,
-                         options.max_ghd_candidates));
+      RankDecompositions(db, query, model, max_width, kMaxGhdCandidates));
   plan.decomposition = std::move(choice.decomposition);
   plan.decomposition_cost = choice.cost;
   plan.decomposition_width = choice.width;

@@ -23,12 +23,6 @@
 
 namespace uocqa {
 
-struct PlannerOptions {
-  JoinOrderOptions join_order;
-  /// Decomposition candidates ranked per width (1 = legacy first-found).
-  size_t max_ghd_candidates = 8;
-};
-
 struct QueryPlan {
   // Atom evaluation order.
   std::vector<size_t> join_order;
@@ -63,8 +57,7 @@ struct QueryPlan {
 /// Fails exactly when DecomposeQuery would (no decomposition of width <=
 /// max_width); join ordering itself cannot fail.
 Result<QueryPlan> PlanQuery(const Database& db, const ConjunctiveQuery& query,
-                            size_t max_width,
-                            const PlannerOptions& options = {});
+                            size_t max_width);
 
 }  // namespace uocqa
 

@@ -141,6 +141,17 @@ void ForEachRepair(
   rec(0);
 }
 
+bool RepairEntails(const Database& db, const std::vector<FactId>& kept,
+                   const ConjunctiveQuery& query,
+                   const std::vector<Value>& answer_tuple,
+                   const std::vector<size_t>* atom_order) {
+  Database repair = db.Subset(kept);
+  QueryEvaluator eval = atom_order
+                            ? QueryEvaluator(repair, query, *atom_order)
+                            : QueryEvaluator(repair, query);
+  return eval.Entails(answer_tuple);
+}
+
 BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
                              const ConjunctiveQuery& query,
                              const std::vector<Value>& answer_tuple,
@@ -149,11 +160,9 @@ BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
   BigInt count;
   ForEachRepair(blocks, [&](const std::vector<BlockOutcome>&,
                             const std::vector<FactId>& kept) {
-    Database repair = db.Subset(kept);
-    QueryEvaluator eval = atom_order
-                              ? QueryEvaluator(repair, query, *atom_order)
-                              : QueryEvaluator(repair, query);
-    if (eval.Entails(answer_tuple)) count += uint64_t{1};
+    if (RepairEntails(db, kept, query, answer_tuple, atom_order)) {
+      count += uint64_t{1};
+    }
     return true;
   });
   return count;
@@ -167,11 +176,7 @@ BigInt CountSequencesEntailing(const Database& db, const KeySet& keys,
   BigInt count;
   ForEachRepair(blocks, [&](const std::vector<BlockOutcome>& outcomes,
                             const std::vector<FactId>& kept) {
-    Database repair = db.Subset(kept);
-    QueryEvaluator eval = atom_order
-                              ? QueryEvaluator(repair, query, *atom_order)
-                              : QueryEvaluator(repair, query);
-    if (eval.Entails(answer_tuple)) {
+    if (RepairEntails(db, kept, query, answer_tuple, atom_order)) {
       count += CountSequencesForOutcome(blocks, outcomes);
     }
     return true;

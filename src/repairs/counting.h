@@ -82,6 +82,16 @@ void ForEachRepair(
     const std::function<bool(const std::vector<BlockOutcome>&,
                              const std::vector<FactId>&)>& fn);
 
+/// Whether the repair of `db` keeping exactly the facts `kept` entails
+/// `answer_tuple` under `query` — the one place a repair is materialized
+/// and evaluated. `atom_order` optionally fixes the evaluator's atom order
+/// (a permutation of 0..atom_count-1); nullptr uses its greedy order.
+/// Order affects cost only, never the verdict.
+bool RepairEntails(const Database& db, const std::vector<FactId>& kept,
+                   const ConjunctiveQuery& query,
+                   const std::vector<Value>& answer_tuple,
+                   const std::vector<size_t>* atom_order = nullptr);
+
 /// Exact numerator |{D' ∈ ORep(D,Sigma) : c̄ ∈ Q(D')}| by enumeration.
 /// `atom_order` optionally fixes the per-repair evaluator's atom order (a
 /// permutation of 0..atom_count-1, e.g. planned once against the full

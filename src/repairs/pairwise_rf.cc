@@ -2,7 +2,7 @@
 
 #include <set>
 
-#include "query/eval.h"
+#include "repairs/counting.h"
 #include "repairs/operations.h"
 
 namespace uocqa {
@@ -32,9 +32,7 @@ Result<PairwiseRf> ComputePairwiseRf(const Database& db,
     } else if (repairs.find(kept) != repairs.end()) {
       entails = false;
     } else {
-      Database repair = db.Subset(kept);
-      QueryEvaluator eval(repair, query);
-      entails = eval.Entails(answer_tuple);
+      entails = RepairEntails(db, kept, query, answer_tuple);
       if (entails) entailing_repairs.insert(kept);
     }
     repairs.insert(kept);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "query/eval.h"
-
 namespace uocqa {
 
 ProbabilisticRepairModel::ProbabilisticRepairModel(const Database& db,
@@ -68,9 +66,9 @@ double ProbabilisticRepairModel::AnswerProbabilityExact(
   double total = 0.0;
   ForEachRepair(blocks_, [&](const std::vector<BlockOutcome>& outcomes,
                              const std::vector<FactId>& kept) {
-    Database repair = db_.Subset(kept);
-    QueryEvaluator eval(repair, query);
-    if (eval.Entails(answer_tuple)) total += RepairProbability(outcomes);
+    if (RepairEntails(db_, kept, query, answer_tuple)) {
+      total += RepairProbability(outcomes);
+    }
     return true;
   });
   return total;
@@ -103,9 +101,7 @@ double ProbabilisticRepairModel::AnswerProbabilityMc(
   if (samples == 0) return 0.0;
   size_t hits = 0;
   for (size_t i = 0; i < samples; ++i) {
-    Database repair = db_.Subset(SampleRepair(rng));
-    QueryEvaluator eval(repair, query);
-    if (eval.Entails(answer_tuple)) ++hits;
+    if (RepairEntails(db_, SampleRepair(rng), query, answer_tuple)) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(samples);
 }

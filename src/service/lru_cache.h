@@ -1,6 +1,6 @@
-// A small LRU cache with hit/miss/eviction counters — the shared shape of
-// the service layer's plan cache (compiled pipeline artifacts) and result
-// cache (byte-identical response replay).
+// A small LRU cache reporting hits/misses/evictions to registry counters —
+// the shared shape of the service layer's plan cache (compiled pipeline
+// artifacts) and result cache (byte-identical response replay).
 //
 // Not internally synchronized: the QueryService guards each cache with its
 // own mutex, so the template stays usable in single-threaded contexts
@@ -29,11 +29,9 @@ class LruCache {
  public:
   explicit LruCache(size_t capacity) : capacity_(capacity) {}
 
-  /// Mirrors future hit/miss/eviction events onto registry counters (any
-  /// may be null). The internal size_t counters keep counting either way —
-  /// they are the source of truth for hits()/misses()/evictions(); the
-  /// registry copies exist so cache traffic shows up in one exposition
-  /// alongside everything else.
+  /// Records future hit/miss/eviction events on registry counters (any may
+  /// be null: that event then goes uncounted). The cache keeps no counts of
+  /// its own — the registry is the one place cache traffic is read from.
   void BindCounters(metrics::Counter* hits, metrics::Counter* misses,
                     metrics::Counter* evictions) {
     hits_counter_ = hits;
@@ -45,11 +43,9 @@ class LruCache {
   std::optional<V> Get(const K& key) {
     auto it = index_.find(key);
     if (it == index_.end()) {
-      ++misses_;
       metrics::Add(misses_counter_);
       return std::nullopt;
     }
-    ++hits_;
     metrics::Add(hits_counter_);
     order_.splice(order_.begin(), order_, it->second);
     return it->second->second;
@@ -70,7 +66,6 @@ class LruCache {
     if (order_.size() > capacity_) {
       index_.erase(order_.back().first);
       order_.pop_back();
-      ++evictions_;
       metrics::Add(evictions_counter_);
     }
   }
@@ -106,19 +101,12 @@ class LruCache {
   size_t size() const { return order_.size(); }
   size_t capacity() const { return capacity_; }
 
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-  size_t evictions() const { return evictions_; }
-
  private:
   size_t capacity_;
   // Front = most recently used. The index maps keys to their list node.
   std::list<std::pair<K, V>> order_;
   std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator, Hash>
       index_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
-  size_t evictions_ = 0;
   metrics::Counter* hits_counter_ = nullptr;
   metrics::Counter* misses_counter_ = nullptr;
   metrics::Counter* evictions_counter_ = nullptr;

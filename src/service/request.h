@@ -82,10 +82,8 @@ struct Request {
   double delta = 0.1;
   size_t samples = 20000;
   uint64_t seed = 1;
-  /// FPRAS RNG-consumption schema (FprasConfig::seed_schema): 1 = legacy
-  /// sequential trials, 2 = batched lockstep trials (the default). Part of
-  /// the result-cache key — the schemas produce different (equally valid)
-  /// estimates at the same seed.
+  /// FPRAS RNG-consumption schema (FprasConfig::seed_schema). The parser
+  /// accepts only the one implemented schema, 2; nothing reads the field.
   int seed_schema = kDefaultSeedSchema;
   /// `explain=1` extends the payload with the compiled plan's deterministic
   /// `plan_*` fields (join order, cost estimates, decomposition choice).

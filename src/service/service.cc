@@ -95,8 +95,7 @@ bool QueryService::ResultKey::operator==(const ResultKey& o) const {
   return fingerprint == o.fingerprint &&
          canonical_query == o.canonical_query && answer == o.answer &&
          mode == o.mode && epsilon == o.epsilon && delta == o.delta &&
-         samples == o.samples && seed == o.seed &&
-         seed_schema == o.seed_schema && max_width == o.max_width &&
+         samples == o.samples && seed == o.seed && max_width == o.max_width &&
          explain == o.explain;
 }
 
@@ -109,7 +108,6 @@ size_t QueryService::ResultKeyHash::operator()(const ResultKey& k) const {
   HashCombine(&seed, std::hash<double>{}(k.delta));
   HashCombine(&seed, k.samples);
   HashCombine(&seed, static_cast<size_t>(k.seed));
-  HashCombine(&seed, static_cast<size_t>(k.seed_schema));
   HashCombine(&seed, k.max_width);
   HashCombine(&seed, static_cast<size_t>(k.explain));
   return seed;
@@ -148,7 +146,6 @@ QueryService::QueryService(LiveInstance& live, const ServiceOptions& options)
 }
 
 void QueryService::InitMetrics() {
-  if (!options_.metrics_enabled) return;  // every handle stays null
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
@@ -430,8 +427,7 @@ ServiceResponse QueryService::Run(const Request& request) {
   if (request.verb == RequestVerb::kMetrics) {
     // Same introspection contract as stats: never counted, never cached.
     ServiceResponse out;
-    out.payload = metrics_ == nullptr ? "metrics=off"
-                                      : metrics_->OneLineText();
+    out.payload = metrics_->OneLineText();
     return out;
   }
   if (request.verb == RequestVerb::kVersion) {
@@ -439,12 +435,7 @@ ServiceResponse QueryService::Run(const Request& request) {
     out.payload = VersionFields();
     return out;
   }
-  if (stages_.requests != nullptr) {
-    stages_.requests->Increment();
-  } else {
-    std::lock_guard<std::mutex> lock(requests_mu_);
-    ++requests_served_;
-  }
+  stages_.requests->Increment();
   if (request.verb != RequestVerb::kQuery) return RunControl(request);
   // Pin this request's epoch: everything below — parse, cache lookups, the
   // solvers — runs against one immutable snapshot, however many snapshots
@@ -626,11 +617,19 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
   key.canonical_query = canonical;
   key.answer = answer;
   key.mode = request.mode;
-  key.epsilon = request.epsilon;
-  key.delta = request.delta;
-  key.samples = request.samples;
-  key.seed = request.seed;
-  key.seed_schema = request.seed_schema;
+  // Key on the accuracy parameters the mode's solvers read and no others,
+  // so requests differing only in an unread field share one entry (exact
+  // reads none of them).
+  const bool reads_fpras = request.mode == RequestMode::kAll ||
+                           request.mode == RequestMode::kFpras;
+  const bool reads_mc = request.mode == RequestMode::kAll ||
+                        request.mode == RequestMode::kMc;
+  if (reads_fpras) {
+    key.epsilon = request.epsilon;
+    key.delta = request.delta;
+  }
+  if (reads_mc) key.samples = request.samples;
+  if (reads_fpras || reads_mc) key.seed = request.seed;
   key.max_width = options_.max_width;
   key.explain = request.explain;
   {
@@ -685,7 +684,6 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
       options.fpras.epsilon = request.epsilon;
       options.fpras.delta = request.delta;
       options.fpras.seed = request.seed;
-      options.fpras.seed_schema = request.seed_schema;
       options.max_width = options_.max_width;
       options.threads = 1;  // batch lanes are the parallelism
       metrics::ScopedStage fpras_stage(stages_.fpras_trials, trace,
@@ -759,44 +757,20 @@ std::string QueryService::StatsPayload() const {
 }
 
 ServiceStats QueryService::stats() const {
+  // The registry is the single source of truth: the request counter and
+  // both caches record there, so the stats verb and the Prometheus
+  // exposition can never disagree.
+  auto value = [this](const char* name) {
+    return static_cast<size_t>(metrics_->GetCounter(name)->Value());
+  };
   ServiceStats out;
-  if (metrics_ != nullptr) {
-    // Metrics on: the registry is the single source of truth — the request
-    // counter and both caches record there (BindCounters mirrors the LRU
-    // events), so the stats verb and the Prometheus exposition can never
-    // disagree.
-    out.requests =
-        static_cast<size_t>(stages_.requests->Value());
-    out.plan_hits = static_cast<size_t>(
-        metrics_->GetCounter("uocqa_plan_cache_hits_total")->Value());
-    out.plan_misses = static_cast<size_t>(
-        metrics_->GetCounter("uocqa_plan_cache_misses_total")->Value());
-    out.plan_evictions = static_cast<size_t>(
-        metrics_->GetCounter("uocqa_plan_cache_evictions_total")->Value());
-    out.result_hits = static_cast<size_t>(
-        metrics_->GetCounter("uocqa_result_cache_hits_total")->Value());
-    out.result_misses = static_cast<size_t>(
-        metrics_->GetCounter("uocqa_result_cache_misses_total")->Value());
-    out.result_evictions = static_cast<size_t>(
-        metrics_->GetCounter("uocqa_result_cache_evictions_total")->Value());
-  } else {
-    {
-      std::lock_guard<std::mutex> lock(requests_mu_);
-      out.requests = requests_served_;
-    }
-    {
-      std::lock_guard<std::mutex> lock(plan_mu_);
-      out.plan_hits = plan_cache_.hits();
-      out.plan_misses = plan_cache_.misses();
-      out.plan_evictions = plan_cache_.evictions();
-    }
-    {
-      std::lock_guard<std::mutex> lock(result_mu_);
-      out.result_hits = result_cache_.hits();
-      out.result_misses = result_cache_.misses();
-      out.result_evictions = result_cache_.evictions();
-    }
-  }
+  out.requests = static_cast<size_t>(stages_.requests->Value());
+  out.plan_hits = value("uocqa_plan_cache_hits_total");
+  out.plan_misses = value("uocqa_plan_cache_misses_total");
+  out.plan_evictions = value("uocqa_plan_cache_evictions_total");
+  out.result_hits = value("uocqa_result_cache_hits_total");
+  out.result_misses = value("uocqa_result_cache_misses_total");
+  out.result_evictions = value("uocqa_result_cache_evictions_total");
   if (live_ != nullptr) {
     std::shared_ptr<const EpochContext> ctx = CurrentContext();
     out.has_live = true;

@@ -10,8 +10,8 @@
 //    CompiledQuery artifacts, so a repeated query — including any variable
 //    renaming of it — skips straight to the per-request trials;
 //  * a **result cache** (LRU over effective instance fingerprint + canonical
-//    query + answer tuple + mode + accuracy/seed parameters) replaying fully
-//    computed responses byte-identically;
+//    query + answer tuple + mode + the accuracy/seed parameters that mode
+//    reads) replaying fully computed responses byte-identically;
 //  * a **batch executor** running independent requests across ThreadPool
 //    lanes. Each request is itself executed serially (inner threads = 1),
 //    so the engine's non-re-entrant pool is never touched concurrently, and
@@ -79,19 +79,13 @@ struct ServiceOptions {
   size_t result_cache_capacity = 4096;
   /// Maximum decomposition width for the FPRAS pipeline (OcqaOptions).
   size_t max_width = 6;
-  /// Instrument the request path (stage latency histograms, cache/request
-  /// counters, pool counters — see docs/ARCHITECTURE.md "Observability").
-  /// On by default: the cost is one relaxed atomic add per event and one
-  /// clock read per timed stage, and the hard contract is that no response
-  /// byte ever depends on this flag (pinned by tests/observability_test.cc).
-  /// When false the service holds null instrument handles and the whole
-  /// layer compiles down to skipped branches.
-  bool metrics_enabled = true;
-  /// Registry to record into; nullptr (default) makes the service own a
-  /// private one, so per-service counters stay correct when several
-  /// services share a process. Inject a shared registry (e.g.
-  /// MetricsRegistry::Global()) to aggregate across services. Ignored when
-  /// `metrics_enabled` is false.
+  /// Registry the request path records into (stage latency histograms,
+  /// cache/request counters, pool counters — see docs/ARCHITECTURE.md
+  /// "Observability"); it is also the source of stats(). nullptr (default)
+  /// makes the service own a private one, so per-service counters stay
+  /// correct when several services share a process. Inject a shared
+  /// registry (e.g. MetricsRegistry::Global()) to aggregate across
+  /// services.
   MetricsRegistry* metrics = nullptr;
   /// Bounded admission for batch execution: within each barrier-delimited
   /// span of a batch, at most this many requests are admitted; the rest are
@@ -110,9 +104,8 @@ struct ServiceOptions {
 };
 
 /// Cache counters, as one readable line for logs and the serve front end.
-/// With metrics enabled these are read back from the service's registry
-/// (the counters are unified — there is one source of truth); the line
-/// format is pinned byte-for-byte by tests either way.
+/// Read back from the service's registry (one source of truth); the line
+/// format is pinned byte-for-byte by tests.
 struct ServiceStats {
   size_t requests = 0;
   size_t plan_hits = 0;
@@ -176,8 +169,8 @@ class QueryService {
   /// Snapshot of the cache counters.
   ServiceStats stats() const;
 
-  /// The service's metrics registry — the injected one, the service-owned
-  /// default, or nullptr when metrics are disabled. The serve front end's
+  /// The service's metrics registry — the injected one or the
+  /// service-owned default; never null. The serve front end's
   /// --metrics-file reads PrometheusText() from here.
   MetricsRegistry* metrics() const { return metrics_; }
 
@@ -211,7 +204,6 @@ class QueryService {
     double delta = 0;
     size_t samples = 0;
     uint64_t seed = 0;
-    int seed_schema = kDefaultSeedSchema;
     size_t max_width = 0;
     bool explain = false;
 
@@ -297,14 +289,11 @@ class QueryService {
   mutable std::mutex result_mu_;
   LruCache<ResultKey, std::string, ResultKeyHash> result_cache_;
 
-  mutable std::mutex requests_mu_;
-  size_t requests_served_ = 0;  ///< metrics-off fallback for stats().requests
-
   /// Lanes for ExecuteBatch, (re)built on demand like OcqaEngine::PoolFor.
   std::unique_ptr<ThreadPool> pool_;
 
-  /// Metrics wiring (all null when metrics are disabled). Stage handles are
-  /// resolved once at construction, never per request.
+  /// Metrics wiring. Stage handles are resolved once at construction, never
+  /// per request.
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
   struct StageHandles {

@@ -384,73 +384,11 @@ TEST(CompiledWorkspaceTest, AppendSetBitsHighWordOnly) {
   EXPECT_EQ(top_states, std::vector<NftaState>{199});
 }
 
-// The *Pinned tests freeze seed-schema 1: the legacy sequential trial path
-// must keep reproducing the historical estimates byte-for-byte. Schema 2
-// (the default batched path) has its own pins in the *PinnedV2 tests.
-TEST(FprasBitIdentityTest, AmbiguousEstimatesPinned) {
-  Nfta a = AmbiguousAutomaton(4);
-  FprasConfig cfg;
-  cfg.epsilon = 0.1;
-  cfg.seed = 99;
-  cfg.seed_schema = 1;
-  NftaFpras f(a, cfg);
-  const double kPinned[] = {
-      0.98284552501164812, 0.99267228599262991, 0.99775509339658608,
-      1.0036850353678681,  0.98606463636748698, 1.0075818543775679,
-      1.0028379008005421};
-  for (size_t s = 2; s <= 8; ++s) {
-    EXPECT_EQ(f.EstimateExactSize(s), kPinned[s - 2]) << "size " << s;
-  }
-  EXPECT_EQ(f.EstimateUpTo(8), 6.9734423313143292);
-  EXPECT_EQ(f.union_estimations(), 7u);
-}
-
-TEST(FprasBitIdentityTest, OverlapEstimatesPinned) {
-  struct Pin {
-    uint64_t seed;
-    double upto7;
-  };
-  const Pin kPins[] = {{7, 338.93348580141037},
-                       {21, 338.93062702496661},
-                       {1234567, 339.400609872308}};
-  for (const Pin& pin : kPins) {
-    Nfta a = OverlapAutomaton();
-    FprasConfig cfg;
-    cfg.epsilon = 0.15;
-    cfg.seed = pin.seed;
-    cfg.seed_schema = 1;
-    NftaFpras f(a, cfg);
-    EXPECT_EQ(f.EstimateUpTo(7), pin.upto7) << "seed " << pin.seed;
-    EXPECT_EQ(f.union_estimations(), 21u);
-  }
-}
-
-TEST(FprasBitIdentityTest, RandomAutomataEstimatesPinned) {
-  struct Pin {
-    uint64_t seed;
-    double upto7;
-    size_t unions;
-  };
-  const Pin kPins[] = {{1, 36.886105104119203, 11}, {2, 1.0, 0},
-                       {3, 43.034552845528452, 10}, {4, 31.626920840944642, 5},
-                       {5, 0.0, 0},                 {6, 1.0, 0}};
-  for (const Pin& pin : kPins) {
-    Nfta a = RandomAutomaton(pin.seed * 1000 + 17);
-    FprasConfig cfg;
-    cfg.epsilon = 0.2;
-    cfg.seed = pin.seed;
-    cfg.seed_schema = 1;
-    NftaFpras f(a, cfg);
-    EXPECT_EQ(f.EstimateUpTo(7), pin.upto7) << "seed " << pin.seed;
-    EXPECT_EQ(f.union_estimations(), pin.unions) << "seed " << pin.seed;
-  }
-}
-
+// Sample-trace pins: approximately-uniform draws at fixed seeds.
 TEST(FprasBitIdentityTest, SampleTracesPinned) {
   {
     Nfta a = FullBinaryTreeAutomaton();
     FprasConfig cfg;
-    cfg.seed_schema = 1;
     NftaFpras f(a, cfg);
     Rng rng(5);
     const char* kTrace[] = {
@@ -470,7 +408,6 @@ TEST(FprasBitIdentityTest, SampleTracesPinned) {
     Nfta a = RandomAutomaton(3017);
     FprasConfig cfg;
     cfg.seed = 11;
-    cfg.seed_schema = 1;
     NftaFpras f(a, cfg);
     Rng rng(42);
     const char* kTrace[] = {
@@ -507,7 +444,6 @@ TEST(FprasBitIdentityTest, OverlapSampleTracesPinned) {
     FprasConfig cfg;
     cfg.epsilon = 0.15;
     cfg.seed = pin.seed;
-    cfg.seed_schema = 1;
     NftaFpras f(a, cfg);
     // Match the recording: estimates computed first, then sampling.
     (void)f.EstimateUpTo(7);
@@ -521,9 +457,8 @@ TEST(FprasBitIdentityTest, OverlapSampleTracesPinned) {
   }
 }
 
-// Schema-2 (batched, the default) pins: same automata and seeds as the
-// schema-1 tests above. Recorded once; any change to the batched path's
-// RNG consumption or trial evaluation shows up here.
+// Estimate pins. Any change to the trial path's RNG consumption or trial
+// evaluation shows up here.
 TEST(FprasBitIdentityTest, AmbiguousEstimatesPinnedV2) {
   Nfta a = AmbiguousAutomaton(4);
   FprasConfig cfg;
@@ -585,28 +520,6 @@ TEST(FprasBitIdentityTest, RandomAutomataEstimatesPinnedV2) {
     NftaFpras f(a, cfg);
     EXPECT_EQ(f.EstimateUpTo(7), pin.upto7) << "seed " << pin.seed;
     EXPECT_EQ(f.union_estimations(), pin.unions) << "seed " << pin.seed;
-  }
-}
-
-// Both schemas must agree on which languages are (non-)empty and stay
-// within loose relative range of each other — they estimate the same
-// quantity at the same accuracy, only the RNG consumption differs.
-TEST(FprasBitIdentityTest, SchemasAgreeOnAccuracy) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Nfta a = RandomAutomaton(seed * 1000 + 17);
-    FprasConfig cfg;
-    cfg.epsilon = 0.2;
-    cfg.seed = seed;
-    cfg.seed_schema = 1;
-    NftaFpras f1(a, cfg);
-    cfg.seed_schema = 2;
-    NftaFpras f2(a, cfg);
-    double e1 = f1.EstimateUpTo(7);
-    double e2 = f2.EstimateUpTo(7);
-    EXPECT_EQ(e1 == 0.0, e2 == 0.0) << "seed " << seed;
-    if (e1 > 0) {
-      EXPECT_NEAR(e2 / e1, 1.0, 0.25) << "seed " << seed;
-    }
   }
 }
 

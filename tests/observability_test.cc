@@ -1,6 +1,6 @@
 // Observability determinism suite: the hard contract is that metrics and
 // tracing never change a single response byte. Pins payload byte-identity
-// with metrics on/off and trace=1/0 across 1/4/8 batch lanes (including
+// with trace=1/0 across 1/4/8 batch lanes (including
 // cached replays on live instances across epochs), the stats line format,
 // the metrics/version verbs, the trace grammar, and the slow-query log.
 
@@ -68,11 +68,8 @@ struct RunResult {
   std::vector<ServiceResponse> responses;
 };
 
-RunResult RunStatic(const ParsedInstance& inst, bool metrics, bool trace,
-                    size_t lanes) {
-  ServiceOptions options;
-  options.metrics_enabled = metrics;
-  QueryService service(inst.db, inst.keys, options);
+RunResult RunStatic(const ParsedInstance& inst, bool trace, size_t lanes) {
+  QueryService service(inst.db, inst.keys);
   return {service.ExecuteBatchLines(WorkloadLines(trace), lanes)};
 }
 
@@ -97,31 +94,23 @@ void ExpectSamePayloadBytes(const RunResult& a, const RunResult& b,
 
 // --- the byte-identity contract ---------------------------------------------
 
-TEST(ObservabilityTest, PayloadBytesIdenticalWithMetricsAndTraceAcrossLanes) {
+TEST(ObservabilityTest, PayloadBytesIdenticalWithTraceAcrossLanes) {
   ParsedInstance inst = LoadInstance();
-  RunResult baseline = RunStatic(inst, /*metrics=*/false, /*trace=*/false,
-                                 /*lanes=*/1);
+  RunResult baseline = RunStatic(inst, /*trace=*/false, /*lanes=*/1);
   for (size_t lanes : {size_t{1}, size_t{4}, size_t{8}}) {
     const bool compare_hit = lanes == 1;
-    ExpectSamePayloadBytes(
-        baseline, RunStatic(inst, /*metrics=*/false, /*trace=*/false, lanes),
-        compare_hit);
-    ExpectSamePayloadBytes(
-        baseline, RunStatic(inst, /*metrics=*/true, /*trace=*/false, lanes),
-        compare_hit);
-    ExpectSamePayloadBytes(
-        baseline, RunStatic(inst, /*metrics=*/true, /*trace=*/true, lanes),
-        compare_hit);
-    ExpectSamePayloadBytes(
-        baseline, RunStatic(inst, /*metrics=*/false, /*trace=*/true, lanes),
-        compare_hit);
+    ExpectSamePayloadBytes(baseline,
+                           RunStatic(inst, /*trace=*/false, lanes),
+                           compare_hit);
+    ExpectSamePayloadBytes(baseline, RunStatic(inst, /*trace=*/true, lanes),
+                           compare_hit);
   }
 }
 
 TEST(ObservabilityTest, LiveCachedReplaysAcrossEpochsUnchangedByTracing) {
   // An exact query whose footprint (Emp, Dept) survives a conflict-free
   // insert into Extra: its cached entry replays byte-identically at the new
-  // epoch, traced or not, metrics on or off.
+  // epoch, traced or not.
   auto lines = [](bool trace) -> std::vector<std::string> {
     const std::string t = trace ? " trace=1" : "";
     return {
@@ -133,15 +122,11 @@ TEST(ObservabilityTest, LiveCachedReplaysAcrossEpochsUnchangedByTracing) {
     };
   };
   std::vector<std::vector<ServiceResponse>> runs;
-  for (bool metrics : {false, true}) {
-    for (bool trace : {false, true}) {
-      ParsedInstance inst = LoadInstance();
-      LiveInstance live(std::move(inst.db), std::move(inst.keys));
-      ServiceOptions options;
-      options.metrics_enabled = metrics;
-      QueryService service(live, options);
-      runs.push_back(service.ExecuteBatchLines(lines(trace), 2));
-    }
+  for (bool trace : {false, true}) {
+    ParsedInstance inst = LoadInstance();
+    LiveInstance live(std::move(inst.db), std::move(inst.keys));
+    QueryService service(live);
+    runs.push_back(service.ExecuteBatchLines(lines(trace), 2));
   }
   for (const auto& run : runs) {
     ASSERT_EQ(run.size(), 5u);
@@ -219,23 +204,16 @@ TEST(ObservabilityTest, TraceGrammarNamesStagesAndCounts) {
 
 // --- stats compatibility -----------------------------------------------------
 
-TEST(ObservabilityTest, StatsLineFormatIsIndependentOfMetrics) {
+TEST(ObservabilityTest, StatsLineFormatPinned) {
   ParsedInstance inst = LoadInstance();
-  std::string lines[2];
-  for (bool metrics : {false, true}) {
-    ServiceOptions options;
-    options.metrics_enabled = metrics;
-    QueryService service(inst.db, inst.keys, options);
-    Request request;
-    request.query_text = "Ans(x) :- Emp(x, y)";
-    request.answer_text = "e1";
-    request.mode = RequestMode::kExact;
-    service.Execute(request);
-    service.Execute(request);  // result-cache hit
-    lines[metrics ? 1 : 0] = service.stats().ToString();
-  }
-  EXPECT_EQ(lines[0], lines[1]);
-  EXPECT_EQ(lines[1],
+  QueryService service(inst.db, inst.keys);
+  Request request;
+  request.query_text = "Ans(x) :- Emp(x, y)";
+  request.answer_text = "e1";
+  request.mode = RequestMode::kExact;
+  service.Execute(request);
+  service.Execute(request);  // result-cache hit
+  EXPECT_EQ(service.stats().ToString(),
             "requests=2 plan_hits=0 plan_misses=0 plan_evictions=0 "
             "result_hits=1 result_misses=1 result_evictions=0");
 }
@@ -297,19 +275,6 @@ TEST(ObservabilityTest, MetricsVerbExposesStageHistograms) {
         "# TYPE uocqa_live_pending gauge"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name << " missing";
   }
-}
-
-TEST(ObservabilityTest, MetricsVerbReportsOffWhenDisabled) {
-  ParsedInstance inst = LoadInstance();
-  ServiceOptions options;
-  options.metrics_enabled = false;
-  QueryService service(inst.db, inst.keys, options);
-  EXPECT_EQ(service.metrics(), nullptr);
-  Request request;
-  request.verb = RequestVerb::kMetrics;
-  ServiceResponse response = service.Execute(request);
-  ASSERT_TRUE(response.status.ok());
-  EXPECT_EQ(response.payload, "metrics=off");
 }
 
 TEST(ObservabilityTest, VersionVerbReportsBuildFields) {

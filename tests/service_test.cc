@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "base/metrics.h"
 #include "db/textio.h"
 #include "query/parser.h"
 #include "service/canonical.h"
@@ -78,29 +80,44 @@ TEST(CanonicalTest, InstanceFingerprintTracksContent) {
 
 // --- the LRU cache ---------------------------------------------------------
 
+/// Registry counters bound to a cache — the only place its traffic is
+/// counted.
+struct BoundCounters {
+  template <typename Cache>
+  explicit BoundCounters(Cache* cache) {
+    cache->BindCounters(hits, misses, evictions);
+  }
+  MetricsRegistry registry;
+  metrics::Counter* hits = registry.GetCounter("hits");
+  metrics::Counter* misses = registry.GetCounter("misses");
+  metrics::Counter* evictions = registry.GetCounter("evictions");
+};
+
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   LruCache<int, std::string> cache(2);
+  BoundCounters counters(&cache);
   cache.Put(1, "a");
   cache.Put(2, "b");
   EXPECT_TRUE(cache.Get(1).has_value());  // 1 is now most recent
   cache.Put(3, "c");                      // evicts 2, not 1
-  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(counters.evictions->Value(), 1u);
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_TRUE(cache.Contains(3));
   cache.Put(4, "d");  // evicts 1 (3 was touched more recently via Put)
   EXPECT_FALSE(cache.Contains(1));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(counters.hits->Value(), 1u);
+  EXPECT_EQ(counters.misses->Value(), 0u);
 }
 
 TEST(LruCacheTest, ZeroCapacityDisables) {
   LruCache<int, int> cache(0);
+  BoundCounters counters(&cache);
   cache.Put(1, 10);
   EXPECT_FALSE(cache.Get(1).has_value());
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(counters.misses->Value(), 1u);
 }
 
 // --- request protocol ------------------------------------------------------
@@ -143,6 +160,10 @@ TEST(RequestTest, RejectsInvalidAccuracyAndShape) {
   EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' mode=bogus").ok());
   EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' nonsense").ok());
   EXPECT_FALSE(ParseRequestLine("query='unterminated").ok());
+  // Only the one implemented FPRAS seed schema is accepted.
+  EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=1").ok());
+  EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=3").ok());
+  EXPECT_TRUE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=2").ok());
   EXPECT_TRUE(ParseRequestLine("query='Ans() :- R(x)'").ok());
 }
 
@@ -168,27 +189,6 @@ TEST(RequestTest, StatsVerbAndExplainFlagParse) {
   ASSERT_TRUE(round.ok());
   EXPECT_TRUE(round->explain);
   EXPECT_EQ(FormatRequestLine(*off).find("explain"), std::string::npos);
-}
-
-TEST(RequestTest, SeedSchemaParsesAndRoundTrips) {
-  // Default is the batched schema (2), kept implicit in the wire format.
-  auto plain = ParseRequestLine("query='Ans() :- R(x)'");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->seed_schema, 2);
-  EXPECT_EQ(FormatRequestLine(*plain).find("seed_schema"),
-            std::string::npos);
-
-  auto legacy = ParseRequestLine("query='Ans() :- R(x)' seed_schema=1");
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->seed_schema, 1);
-  auto round = ParseRequestLine(FormatRequestLine(*legacy));
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round->seed_schema, 1);
-
-  EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=0").ok());
-  EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=3").ok());
-  EXPECT_FALSE(
-      ParseRequestLine("query='Ans() :- R(x)' seed_schema=latest").ok());
 }
 
 TEST(LruCacheTest, ForEachVisitsMostRecentFirst) {
@@ -235,6 +235,28 @@ TEST_F(ServiceTest, CachedResultsBitIdenticalAcrossModes) {
     EXPECT_EQ(first.payload, replay.payload);
     EXPECT_EQ(first.payload, fresh.payload);
     EXPECT_FALSE(first.payload.empty());
+
+    // The result key holds only the fields the mode reads: a one-field
+    // edit misses iff the mode reads that field, and every variant still
+    // matches the cache-free pipeline byte for byte.
+    const bool fpras =
+        mode == RequestMode::kFpras || mode == RequestMode::kAll;
+    const bool mc = mode == RequestMode::kMc || mode == RequestMode::kAll;
+    const std::pair<void (*)(Request*), bool> kEdits[] = {
+        {[](Request* q) { q->epsilon = 0.25; }, fpras},
+        {[](Request* q) { q->delta = 0.05; }, fpras},
+        {[](Request* q) { q->samples = 900; }, mc},
+        {[](Request* q) { q->seed = 8; }, fpras || mc},
+    };
+    for (const auto& [edit, read] : kEdits) {
+      Request variant = r;
+      edit(&variant);
+      ServiceResponse v = cached.Execute(variant);
+      ASSERT_TRUE(v.status.ok()) << v.status.ToString();
+      EXPECT_EQ(v.cache_hit, !read) << FormatRequestLine(variant);
+      EXPECT_EQ(v.payload, uncached.Execute(variant).payload)
+          << FormatRequestLine(variant);
+    }
   }
 }
 
@@ -265,37 +287,6 @@ TEST_F(ServiceTest, RenamedQuerySharesPlanAndResults) {
   EXPECT_EQ(stats.plan_misses, 1u);
   EXPECT_GE(stats.plan_hits, 1u);
   EXPECT_EQ(computed.payload, uncached.Execute(other_answer).payload);
-}
-
-TEST_F(ServiceTest, SeedSchemasUseDistinctCacheEntries) {
-  // The two RNG-consumption schemas produce different (equally valid)
-  // FPRAS estimates at the same seed, so they must not share result-cache
-  // entries — and each must replay byte-identically.
-  QueryService cached(inst_.db, inst_.keys);
-  QueryService uncached(inst_.db, inst_.keys, CachesOff());
-  Request v2 = MakeRequest("Ans(x) :- Emp(x, y), Dept(y, z)", "e1",
-                           RequestMode::kFpras);
-  Request v1 = v2;
-  v1.seed_schema = 1;
-
-  ServiceResponse first_v2 = cached.Execute(v2);
-  ASSERT_TRUE(first_v2.status.ok()) << first_v2.status.ToString();
-  EXPECT_FALSE(first_v2.cache_hit);
-
-  // Schema 1 with otherwise identical fields is a cache miss, not a hit.
-  ServiceResponse first_v1 = cached.Execute(v1);
-  ASSERT_TRUE(first_v1.status.ok()) << first_v1.status.ToString();
-  EXPECT_FALSE(first_v1.cache_hit);
-
-  // Each schema replays its own payload and matches the cache-free run.
-  ServiceResponse replay_v2 = cached.Execute(v2);
-  ServiceResponse replay_v1 = cached.Execute(v1);
-  EXPECT_TRUE(replay_v2.cache_hit);
-  EXPECT_TRUE(replay_v1.cache_hit);
-  EXPECT_EQ(first_v2.payload, replay_v2.payload);
-  EXPECT_EQ(first_v1.payload, replay_v1.payload);
-  EXPECT_EQ(first_v2.payload, uncached.Execute(v2).payload);
-  EXPECT_EQ(first_v1.payload, uncached.Execute(v1).payload);
 }
 
 TEST_F(ServiceTest, ResultCacheEvictsInLruOrder) {

@@ -5,7 +5,7 @@
 //               [--plan-cache N] [--result-cache N] [--max-width K]
 //               [--wal PATH] [--wal-sync none|batch|every] [--max-queue N]
 //               [--metrics-file PATH] [--metrics-every N]
-//               [--slow-query-micros N] [--no-metrics] [--version]
+//               [--slow-query-micros N] [--version]
 //
 // Loads one instance and serves many OCQA requests against it, one request
 // per line (from --requests FILE, else stdin), in the line protocol of
@@ -121,7 +121,7 @@ void Usage(const char* argv0) {
       "          [--plan-cache N] [--result-cache N] [--max-width K]\n"
       "          [--wal PATH] [--wal-sync none|batch|every] [--max-queue N]\n"
       "          [--metrics-file PATH] [--metrics-every N]\n"
-      "          [--slow-query-micros N] [--no-metrics] [--version]\n"
+      "          [--slow-query-micros N] [--version]\n"
       "reads one request per line (see docs/FORMATS.md), writes one result\n"
       "line per request on stdout and a stats summary on stderr\n",
       argv0);
@@ -196,8 +196,6 @@ bool ParseArgs(int argc, char** argv, ServeOptions* out) {
       size_t micros = 0;
       if (!v || !SizeFlag("--slow-query-micros", v, &micros)) return false;
       out->service.slow_query_micros = static_cast<uint64_t>(micros);
-    } else if (std::strcmp(argv[i], "--no-metrics") == 0) {
-      out->service.metrics_enabled = false;
     } else if (std::strcmp(argv[i], "--version") == 0) {
       out->show_version = true;
     } else {
@@ -212,15 +210,13 @@ bool ParseArgs(int argc, char** argv, ServeOptions* out) {
 /// Rewrites the Prometheus text exposition of the service's registry to
 /// `path` (whole-file rewrite, the standard textfile-collector pattern).
 bool WriteMetricsFile(const QueryService& service, const std::string& path) {
-  MetricsRegistry* registry = service.metrics();
   std::ofstream file(path, std::ios::trunc);
   if (!file) {
     std::fprintf(stderr, "error: cannot write metrics file '%s'\n",
                  path.c_str());
     return false;
   }
-  file << (registry == nullptr ? std::string("# metrics disabled\n")
-                               : registry->PrometheusText());
+  file << service.metrics()->PrometheusText();
   return true;
 }
 
@@ -269,15 +265,12 @@ int main(int argc, char** argv) {
   // One registry shared by recovery and the service, so uocqa_recovery_us
   // (recorded before the service exists) lands in the same exposition.
   MetricsRegistry registry;
-  if (opts.service.metrics_enabled && opts.service.metrics == nullptr) {
-    opts.service.metrics = &registry;
-  }
+  opts.service.metrics = &registry;
 
   LiveInstance live(std::move(inst->db), std::move(inst->keys));
   if (!opts.wal_path.empty()) {
     auto recovered = RecoverAndAttachWal(
-        opts.wal_path, opts.wal_sync, &live,
-        opts.service.metrics_enabled ? opts.service.metrics : nullptr);
+        opts.wal_path, opts.wal_sync, &live, &registry);
     if (!recovered.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    recovered.status().ToString().c_str());
