@@ -99,7 +99,12 @@ uint64_t HashWordsAvx512(const uint64_t* a, size_t n) {
     acc = _mm512_add_epi64(acc, MixWord8(_mm512_loadu_si512(a + i), idx1));
     idx1 = _mm512_add_epi64(idx1, eight);
   }
-  uint64_t sum = _mm512_reduce_add_epi64(acc);
+  // Reduce in unsigned arithmetic: GCC's _mm512_reduce_add_epi64 adds the
+  // lanes as signed long long, whose wrap-around is undefined behaviour.
+  alignas(64) uint64_t lanes[8];
+  _mm512_store_si512(lanes, acc);
+  uint64_t sum = 0;
+  for (uint64_t lane : lanes) sum += lane;
   for (; i < n; ++i) sum += MixWord(a[i], i);
   return FinalizeHash(sum, n);
 }

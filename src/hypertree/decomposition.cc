@@ -26,8 +26,8 @@ bool SortedContains(const std::vector<VarId>& haystack, VarId needle) {
   return std::binary_search(haystack.begin(), haystack.end(), needle);
 }
 
-bool SortedSubset(const std::vector<VarId>& sub,
-                  const std::vector<VarId>& super) {
+bool SortedIncludes(const std::vector<VarId>& sub,
+                    const std::vector<VarId>& super) {
   return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
 }
 
@@ -122,7 +122,7 @@ Status HypertreeDecomposition::Validate(const ConjunctiveQuery& query) const {
     std::vector<VarId> need = NonAnswerVarsOfAtom(query, ai);
     bool found = false;
     for (const DecompositionNode& n : nodes_) {
-      if (SortedSubset(need, n.bag)) {
+      if (SortedIncludes(need, n.bag)) {
         found = true;
         break;
       }
@@ -177,7 +177,7 @@ bool HypertreeDecomposition::IsCoveringVertex(const ConjunctiveQuery& query,
   if (!std::binary_search(n.lambda.begin(), n.lambda.end(), atom_idx)) {
     return false;
   }
-  return SortedSubset(NonAnswerVarsOfAtom(query, atom_idx), n.bag);
+  return SortedIncludes(NonAnswerVarsOfAtom(query, atom_idx), n.bag);
 }
 
 DecompVertex HypertreeDecomposition::MinimalCoveringVertex(

@@ -21,9 +21,9 @@ size_t ResolveThreads(size_t threads) {
 }
 
 /// Plans an atom order once against the full database for the exact and
-/// Monte-Carlo paths, which evaluate the query over many repair subsets:
+/// Monte-Carlo paths, which evaluate the query over many repair views:
 /// an order planned on the full statistics stays a valid permutation for
-/// every subset, and entailment is order-independent, so counts and
+/// every repair, and entailment is order-independent, so counts and
 /// estimates are unchanged — only search effort is.
 std::vector<size_t> PlanOrderForTrials(const Database& db,
                                        const ConjunctiveQuery& query) {
@@ -289,15 +289,14 @@ BigInt OcqaEngine::ClassicalRepairsEntailingBruteForce(
     const std::vector<Value>& answer_tuple) const {
   BlockPartition blocks = BlockPartition::Compute(db_, keys_);
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
+  RepairChecker checker(db_, query, answer_tuple, &order);
   BigInt count;
   ForEachRepair(blocks, [&](const std::vector<BlockOutcome>& outcomes,
                             const std::vector<FactId>& kept) {
     for (const BlockOutcome& o : outcomes) {
       if (!o.has_value()) return true;  // not a classical subset repair
     }
-    if (RepairEntails(db_, kept, query, answer_tuple, &order)) {
-      count += uint64_t{1};
-    }
+    if (checker.Entails(kept)) count += uint64_t{1};
     return true;
   });
   return count;
@@ -353,19 +352,25 @@ namespace {
 /// in fixed chunks of OcqaEngine::kMcChunk, chunk c driven by RNG stream c
 /// of `seed`, hit counts merged per chunk. The chunk layout never depends
 /// on the pool, so the estimate is bit-identical at every thread count.
-template <typename Trial>
-double MonteCarloEstimate(size_t samples, uint64_t seed, ThreadPool* pool,
-                          const Trial& trial) {
+/// `draw` returns one sampled repair's kept facts; each chunk checks its
+/// draws with its own RepairChecker, a view over the read-only base
+/// instance.
+template <typename Draw>
+double MonteCarloEstimate(const Database& db, const ConjunctiveQuery& query,
+                          const std::vector<Value>& answer_tuple,
+                          const std::vector<size_t>& order, size_t samples,
+                          uint64_t seed, ThreadPool* pool, const Draw& draw) {
   if (samples == 0) return 0.0;
   size_t chunks = (samples + OcqaEngine::kMcChunk - 1) / OcqaEngine::kMcChunk;
   std::vector<size_t> hits(chunks, 0);
   auto run_chunk = [&](size_t c) {
     Rng rng = Rng::Stream(seed, c);
+    RepairChecker checker(db, query, answer_tuple, &order);
     size_t begin = c * OcqaEngine::kMcChunk;
     size_t end = std::min(samples, begin + OcqaEngine::kMcChunk);
     size_t h = 0;
     for (size_t i = begin; i < end; ++i) {
-      if (trial(rng)) ++h;
+      if (checker.Entails(draw(rng))) ++h;
     }
     hits[c] = h;
   };
@@ -386,11 +391,9 @@ double OcqaEngine::MonteCarloUr(const ConjunctiveQuery& query,
   // entailment outcome and the sampler RNG is untouched, so the estimate
   // stays bit-identical to the greedy-order implementation.
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
-  return MonteCarloEstimate(
-      samples, seed, PoolFor(threads), [&](Rng& rng) {
-        return RepairEntails(db_, sampler.Sample(rng), query, answer_tuple,
-                             &order);
-      });
+  return MonteCarloEstimate(db_, query, answer_tuple, order, samples, seed,
+                            PoolFor(threads),
+                            [&](Rng& rng) { return sampler.Sample(rng); });
 }
 
 double OcqaEngine::MonteCarloUs(const ConjunctiveQuery& query,
@@ -400,11 +403,8 @@ double OcqaEngine::MonteCarloUs(const ConjunctiveQuery& query,
   UniformSequenceSampler sampler(db_, keys_);
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
   return MonteCarloEstimate(
-      samples, seed, PoolFor(threads), [&](Rng& rng) {
-        RepairingSequence seq = sampler.Sample(rng);
-        return RepairEntails(db_, ApplySequence(db_, seq), query,
-                             answer_tuple, &order);
-      });
+      db_, query, answer_tuple, order, samples, seed, PoolFor(threads),
+      [&](Rng& rng) { return ApplySequence(db_, sampler.Sample(rng)); });
 }
 
 }  // namespace uocqa

@@ -83,12 +83,15 @@ QueryEvaluator::QueryEvaluator(const Database& db,
 
 QueryEvaluator::QueryEvaluator(const Database& db,
                                const ConjunctiveQuery& query,
-                               std::vector<size_t> order)
+                               std::vector<size_t> order,
+                               const std::vector<uint8_t>* kept)
     : db_(db),
       query_(query),
       atom_rels_(ResolveAtomRelations(db, query)),
-      order_(std::move(order)) {
+      order_(std::move(order)),
+      kept_(kept) {
   assert(order_.size() == query.atom_count());
+  assert(kept_ == nullptr || kept_->size() == db.size());
 #ifndef NDEBUG
   std::vector<bool> seen(query.atom_count(), false);
   for (size_t i : order_) {
@@ -136,6 +139,7 @@ bool QueryEvaluator::Search(
   const std::vector<FactId>& candidates =
       db_.index().Candidates(atom_rels_[atom_idx], *bound_scratch);
   for (FactId fid : candidates) {
+    if (kept_ != nullptr && (*kept_)[fid] == 0) continue;
     ++nodes_visited_;
     const Fact& fact = db_.fact(fid);
     // Try to unify atom terms with the fact, recording newly bound vars.

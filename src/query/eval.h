@@ -52,8 +52,16 @@ class QueryEvaluator {
   /// Same, but evaluates atoms in the given order (a permutation of
   /// 0..atom_count-1, e.g. from the planner). Order only affects search
   /// cost, never the set of homomorphisms.
+  ///
+  /// A non-null `kept` makes the evaluator see a repair view: the
+  /// sub-instance of `db` holding exactly the facts f with kept[f] != 0.
+  /// Candidates still come from db's index; facts outside the view are
+  /// skipped before they count as nodes. The mask is read on every call, so
+  /// its owner may change it between calls; it must have db.size() entries
+  /// and outlive the evaluator.
   QueryEvaluator(const Database& db, const ConjunctiveQuery& query,
-                 std::vector<size_t> order);
+                 std::vector<size_t> order,
+                 const std::vector<uint8_t>* kept = nullptr);
 
   /// c̄ ∈ Q(D)? `answer_tuple` must have one constant per answer variable
   /// (empty for Boolean queries).
@@ -105,6 +113,7 @@ class QueryEvaluator {
   const ConjunctiveQuery& query_;
   std::vector<RelationId> atom_rels_;  // per atom, db relation (by name)
   std::vector<size_t> order_;          // atom visit order
+  const std::vector<uint8_t>* kept_;   // repair-view mask, or null
   mutable uint64_t nodes_visited_ = 0;
 };
 

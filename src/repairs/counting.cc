@@ -1,8 +1,8 @@
 #include "repairs/counting.h"
 
+#include <algorithm>
 #include <cassert>
-
-#include "query/eval.h"
+#include <map>
 
 namespace uocqa {
 
@@ -141,15 +141,20 @@ void ForEachRepair(
   rec(0);
 }
 
-bool RepairEntails(const Database& db, const std::vector<FactId>& kept,
-                   const ConjunctiveQuery& query,
-                   const std::vector<Value>& answer_tuple,
-                   const std::vector<size_t>* atom_order) {
-  Database repair = db.Subset(kept);
-  QueryEvaluator eval = atom_order
-                            ? QueryEvaluator(repair, query, *atom_order)
-                            : QueryEvaluator(repair, query);
-  return eval.Entails(answer_tuple);
+RepairChecker::RepairChecker(const Database& db,
+                             const ConjunctiveQuery& query,
+                             std::vector<Value> answer_tuple,
+                             const std::vector<size_t>* atom_order)
+    : mask_(db.size(), 0),
+      answer_tuple_(std::move(answer_tuple)),
+      eval_(db, query,
+            atom_order ? *atom_order : GreedyAtomOrder(db, query), &mask_) {}
+
+bool RepairChecker::Entails(const std::vector<FactId>& kept) {
+  for (FactId f : kept) mask_[f] = 1;
+  bool entails = eval_.Entails(answer_tuple_);
+  for (FactId f : kept) mask_[f] = 0;
+  return entails;
 }
 
 BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
@@ -157,12 +162,11 @@ BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
                              const std::vector<Value>& answer_tuple,
                              const std::vector<size_t>* atom_order) {
   BlockPartition blocks = BlockPartition::Compute(db, keys);
+  RepairChecker checker(db, query, answer_tuple, atom_order);
   BigInt count;
   ForEachRepair(blocks, [&](const std::vector<BlockOutcome>&,
                             const std::vector<FactId>& kept) {
-    if (RepairEntails(db, kept, query, answer_tuple, atom_order)) {
-      count += uint64_t{1};
-    }
+    if (checker.Entails(kept)) count += uint64_t{1};
     return true;
   });
   return count;
@@ -173,12 +177,25 @@ BigInt CountSequencesEntailing(const Database& db, const KeySet& keys,
                                const std::vector<Value>& answer_tuple,
                                const std::vector<size_t>* atom_order) {
   BlockPartition blocks = BlockPartition::Compute(db, keys);
+  RepairChecker checker(db, query, answer_tuple, atom_order);
+  size_t max_block_size = 0;
+  for (const Block& b : blocks.blocks()) {
+    max_block_size = std::max(max_block_size, b.size());
+  }
+  // Signature of an outcome: emptied blocks per block size.
+  std::vector<uint32_t> signature(max_block_size + 1);
+  std::map<std::vector<uint32_t>, BigInt> memo;
   BigInt count;
   ForEachRepair(blocks, [&](const std::vector<BlockOutcome>& outcomes,
                             const std::vector<FactId>& kept) {
-    if (RepairEntails(db, kept, query, answer_tuple, atom_order)) {
-      count += CountSequencesForOutcome(blocks, outcomes);
+    if (!checker.Entails(kept)) return true;
+    std::fill(signature.begin(), signature.end(), 0);
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      if (!outcomes[i].has_value()) ++signature[blocks.block(i).size()];
     }
+    auto [it, inserted] = memo.try_emplace(signature);
+    if (inserted) it->second = CountSequencesForOutcome(blocks, outcomes);
+    count += it->second;
     return true;
   });
   return count;

@@ -36,6 +36,7 @@
 #include "db/database.h"
 #include "db/keys.h"
 #include "query/cq.h"
+#include "query/eval.h"
 
 namespace uocqa {
 
@@ -82,15 +83,37 @@ void ForEachRepair(
     const std::function<bool(const std::vector<BlockOutcome>&,
                              const std::vector<FactId>&)>& fn);
 
-/// Whether the repair of `db` keeping exactly the facts `kept` entails
-/// `answer_tuple` under `query` — the one place a repair is materialized
-/// and evaluated. `atom_order` optionally fixes the evaluator's atom order
-/// (a permutation of 0..atom_count-1); nullptr uses its greedy order.
-/// Order affects cost only, never the verdict.
-bool RepairEntails(const Database& db, const std::vector<FactId>& kept,
-                   const ConjunctiveQuery& query,
-                   const std::vector<Value>& answer_tuple,
-                   const std::vector<size_t>* atom_order = nullptr);
+/// Decides whether repairs of `db` entail `answer_tuple` under `query`,
+/// without materializing them. Each repair is evaluated as a view over the
+/// base instance: db's own index, with a kept-fact mask that hides every
+/// fact outside the repair. The evaluator (resolved relations, atom order)
+/// and the mask are built once; each check only sets and clears the kept
+/// facts' mask bytes. This is the one place where a repair is evaluated:
+/// exact enumeration, Monte Carlo and the extensions all go through it.
+///
+/// `atom_order` optionally fixes the evaluator's atom order (a permutation
+/// of 0..atom_count-1); nullptr uses GreedyAtomOrder over db. Order affects
+/// cost only, never the verdict. Not thread-safe: give each lane (e.g. each
+/// Monte-Carlo chunk) its own checker. `db` and `query` must outlive it.
+class RepairChecker {
+ public:
+  RepairChecker(const Database& db, const ConjunctiveQuery& query,
+                std::vector<Value> answer_tuple,
+                const std::vector<size_t>* atom_order = nullptr);
+
+  // The evaluator holds the address of mask_.
+  RepairChecker(const RepairChecker&) = delete;
+  RepairChecker& operator=(const RepairChecker&) = delete;
+
+  /// Whether the repair keeping exactly the facts `kept` (ids of db)
+  /// entails the answer.
+  bool Entails(const std::vector<FactId>& kept);
+
+ private:
+  std::vector<uint8_t> mask_;  // all zero between calls
+  std::vector<Value> answer_tuple_;
+  QueryEvaluator eval_;
+};
 
 /// Exact numerator |{D' ∈ ORep(D,Sigma) : c̄ ∈ Q(D')}| by enumeration.
 /// `atom_order` optionally fixes the per-repair evaluator's atom order (a
@@ -102,7 +125,10 @@ BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
                              const std::vector<size_t>* atom_order = nullptr);
 
 /// Exact numerator |{s ∈ CRS(D,Sigma) : c̄ ∈ Q(s(D))}| by enumeration over
-/// outcomes with per-outcome sequence counting.
+/// outcomes with per-outcome sequence counting. CountSequencesForOutcome
+/// only depends on how many blocks of each size are emptied (block
+/// interleaving is commutative and associative), so it runs once per such
+/// signature and is looked up for every other entailing repair.
 BigInt CountSequencesEntailing(const Database& db, const KeySet& keys,
                                const ConjunctiveQuery& query,
                                const std::vector<Value>& answer_tuple,

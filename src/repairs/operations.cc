@@ -45,11 +45,8 @@ SequenceCheck CheckSequence(const Database& db, const PairwiseConstraints& keys,
     for (FactId f : op.facts) present[f] = false;
   }
   out.repairing = true;
-  std::vector<FactId> kept;
-  for (FactId id = 0; id < db.size(); ++id) {
-    if (present[id]) kept.push_back(id);
-  }
-  out.complete = keys.SatisfiedBy(db.Subset(kept));
+  // Complete: no violating pair is left among the present facts.
+  out.complete = JustifiedOperations(db, keys, present).empty();
   return out;
 }
 

@@ -21,6 +21,7 @@ Result<PairwiseRf> ComputePairwiseRf(const Database& db,
   }
   PairwiseRf out;
   out.sequences = sequences.size();
+  RepairChecker checker(db, query, answer_tuple);
   std::set<std::vector<FactId>> repairs;
   std::set<std::vector<FactId>> entailing_repairs;
   for (const RepairingSequence& s : sequences) {
@@ -32,7 +33,7 @@ Result<PairwiseRf> ComputePairwiseRf(const Database& db,
     } else if (repairs.find(kept) != repairs.end()) {
       entails = false;
     } else {
-      entails = RepairEntails(db, kept, query, answer_tuple);
+      entails = checker.Entails(kept);
       if (entails) entailing_repairs.insert(kept);
     }
     repairs.insert(kept);

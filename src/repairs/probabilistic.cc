@@ -63,10 +63,11 @@ double ProbabilisticRepairModel::RepairProbability(
 double ProbabilisticRepairModel::AnswerProbabilityExact(
     const ConjunctiveQuery& query,
     const std::vector<Value>& answer_tuple) const {
+  RepairChecker checker(db_, query, answer_tuple);
   double total = 0.0;
   ForEachRepair(blocks_, [&](const std::vector<BlockOutcome>& outcomes,
                              const std::vector<FactId>& kept) {
-    if (RepairEntails(db_, kept, query, answer_tuple)) {
+    if (checker.Entails(kept)) {
       total += RepairProbability(outcomes);
     }
     return true;
@@ -99,9 +100,10 @@ double ProbabilisticRepairModel::AnswerProbabilityMc(
     const ConjunctiveQuery& query, const std::vector<Value>& answer_tuple,
     size_t samples, Rng& rng) const {
   if (samples == 0) return 0.0;
+  RepairChecker checker(db_, query, answer_tuple);
   size_t hits = 0;
   for (size_t i = 0; i < samples; ++i) {
-    if (RepairEntails(db_, SampleRepair(rng), query, answer_tuple)) ++hits;
+    if (checker.Entails(SampleRepair(rng))) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(samples);
 }
