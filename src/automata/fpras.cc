@@ -126,154 +126,6 @@ NftaFpras::Cell& NftaFpras::GetCell(NftaState q, size_t size) {
   return cell;
 }
 
-void NftaFpras::EvalNodeBehavior(const TreePool& pool, uint32_t node,
-                                 CompiledNfta::Workspace* ws,
-                                 size_t base) const {
-  // Recursive bitset run over pooled nodes, same slot discipline as
-  // CompiledNfta::EvalInto: result at `base`, subtree scratch above.
-  size_t wps = c_.words_per_set();
-  size_t rank = 0;
-  for (uint32_t ch = pool.nodes[node].first_child; ch != TreePool::kNil;
-       ch = pool.nodes[ch].next_sibling) {
-    ++rank;
-  }
-  ws->EnsureSlots(base + 1 + rank, wps);
-  size_t i = 0;
-  for (uint32_t ch = pool.nodes[node].first_child; ch != TreePool::kNil;
-       ch = pool.nodes[ch].next_sibling) {
-    EvalNodeBehavior(pool, ch, ws, base + 1 + (i++));
-  }
-  // Child-set pointers live in the workspace scratch (allocation-free once
-  // warm; safe to share across the recursion — a node only fills it after
-  // its child subtrees are done, and the combine consumes it immediately).
-  if (ws->child_ptrs.size() < rank) ws->child_ptrs.resize(rank);
-  const uint64_t** child_ptrs = ws->child_ptrs.data();
-  for (size_t j = 0; j < rank; ++j) {
-    child_ptrs[j] = ws->slots.data() + (base + 1 + j) * wps;
-  }
-  c_.CombineBehaviors(pool.nodes[node].symbol,
-                      rank == 0 ? nullptr : child_ptrs,
-                      static_cast<uint32_t>(rank),
-                      ws->slots.data() + base * wps);
-}
-
-int NftaFpras::MinIndexFlat(const Group& group, uint32_t root,
-                            SampleCtx* ctx) const {
-  const TreePool& pool = ctx->pool;
-  const TreePool::Node& root_node = pool.nodes[root];
-  size_t wps = c_.words_per_set();
-
-  // Compute each child's behaviour (bitset run) and collect its cached
-  // size, once per call; with grouping enabled all components share root
-  // symbol and child sizes, without it the per-component checks below
-  // filter mismatches.
-  size_t n_children = 0;
-  for (uint32_t ch = root_node.first_child; ch != TreePool::kNil;
-       ch = pool.nodes[ch].next_sibling) {
-    ++n_children;
-  }
-  // Child i's behaviour lands in slot i; slots are assigned bottom-up so
-  // sibling results at lower slots survive later siblings' scratch.
-  ctx->ws.EnsureSlots(n_children, wps);
-  {
-    size_t i = 0;
-    for (uint32_t ch = root_node.first_child; ch != TreePool::kNil;
-         ch = pool.nodes[ch].next_sibling) {
-      EvalNodeBehavior(pool, ch, &ctx->ws, i++);
-    }
-  }
-
-  for (size_t j = 0; j < group.components.size(); ++j) {
-    const Component& comp = group.components[j];
-    CompiledNfta::TransitionId tid = comp.transition;
-    if (c_.symbol(tid) != root_node.symbol ||
-        c_.rank(tid) != n_children ||
-        comp.child_sizes.size() != n_children) {
-      continue;
-    }
-    const NftaState* kids = c_.children(tid);
-    bool ok = true;
-    size_t i = 0;
-    for (uint32_t ch = root_node.first_child; ch != TreePool::kNil;
-         ch = pool.nodes[ch].next_sibling, ++i) {
-      if (pool.nodes[ch].size != comp.child_sizes[i] ||
-          !CompiledNfta::TestBit(ctx->ws.slots.data() + i * wps, kids[i])) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return static_cast<int>(j);
-  }
-  return -1;
-}
-
-uint32_t NftaFpras::SampleComponentFlat(Rng& rng, const Component& comp,
-                                        SampleCtx* ctx) {
-  CompiledNfta::TransitionId tid = comp.transition;
-  uint32_t total = 1;
-  for (size_t s : comp.child_sizes) total += static_cast<uint32_t>(s);
-  uint32_t node = ctx->pool.New(c_.symbol(tid), total);
-  const NftaState* kids = c_.children(tid);
-  for (size_t i = 0; i < comp.child_sizes.size(); ++i) {
-    uint32_t child = SampleFlat(rng, kids[i], comp.child_sizes[i], ctx);
-    if (child == TreePool::kNil) return TreePool::kNil;
-    ctx->pool.AddChild(node, child);
-  }
-  return node;
-}
-
-uint32_t NftaFpras::SampleFlat(Rng& rng, NftaState q, size_t size,
-                               SampleCtx* ctx) {
-  // Read-only: every cell this can touch was built by the GetCell call
-  // that preceded the sampling (component construction recurses through
-  // all child cells), so trial threads never mutate `cells_`.
-  const Cell* cell = FindCell(q, size);
-  assert(cell != nullptr && cell->computed);
-  if (cell == nullptr || cell->estimate <= 0 || cell->groups.empty()) {
-    return TreePool::kNil;
-  }
-  for (size_t attempt = 0; attempt < config_.max_rejection_attempts;
-       ++attempt) {
-    // Pick a group proportionally to its (union) estimate, then a component
-    // proportionally to its size, then apply minimal-index rejection. One
-    // uniform per pick, binary-searched over the cached prefix sums.
-    double r = rng.UniformDouble() * cell->estimate;
-    size_t gi = PickIndex(cell->group_prefix, r);
-    const Group& g = cell->groups[gi];
-    if (g.components.empty()) continue;
-    double csum = g.prefix.back();
-    if (csum <= 0) continue;
-    double rc = rng.UniformDouble() * csum;
-    size_t j = PickIndex(g.prefix, rc);
-    // Reclaim rejected attempts by truncating back to the pre-attempt mark:
-    // result-neutral (the nodes are garbage either way — RNG consumption
-    // and the returned structure are untouched) and it keeps surviving
-    // subtrees contiguous in preorder, which the batched trial sweep
-    // relies on.
-    size_t mark = ctx->pool.nodes.size();
-    uint32_t t = SampleComponentFlat(rng, g.components[j], ctx);
-    if (t == TreePool::kNil) {
-      ctx->pool.Truncate(mark);
-      continue;
-    }
-    int min_idx = MinIndexFlat(g, t, ctx);
-    if (min_idx >= 0 && static_cast<size_t>(min_idx) == j) return t;
-    // Rejected: t belongs to an earlier component; retry.
-    ctx->pool.Truncate(mark);
-  }
-  // Rejection budget exhausted: return any sample (slight bias) so callers
-  // always make progress on non-empty languages.
-  for (const Group& g : cell->groups) {
-    for (const Component& comp : g.components) {
-      size_t mark = ctx->pool.nodes.size();
-      uint32_t t = SampleComponentFlat(rng, comp, ctx);
-      if (t != TreePool::kNil) return t;
-      ctx->pool.Truncate(mark);
-    }
-  }
-  return TreePool::kNil;
-}
-
 double NftaFpras::EstimateGroup(Group* group) {
   std::vector<Component>& comps = group->components;
   if (comps.empty()) return 0;
@@ -406,13 +258,13 @@ uint32_t NftaFpras::SampleComponentFlatBatched(Rng& rng,
 
 uint32_t NftaFpras::SampleFlatBatched(Rng& rng, NftaState q, size_t size,
                                       BatchCtx* ctx) {
-  // Mirrors SampleFlat pick-for-pick (same uniforms, same accept/reject
-  // decisions — the cached rows are bit-identical to the recursive
-  // evaluation), so estimates don't depend on which of the two builders
-  // produced them. The difference is purely cost: each pooled
-  // node's behaviour row is computed once (ComputeRow, on subtree
-  // completion) and the min-index checks read the rows, instead of
-  // re-running the recursive bitset evaluation per nesting level.
+  // Pick a group proportionally to its (union) estimate, then a component
+  // proportionally to its size, then apply minimal-index rejection. One
+  // uniform per pick, binary-searched over the cached prefix sums. Read-only:
+  // every cell this can touch was built by the GetCell call that preceded
+  // the sampling, so trial threads never mutate `cells_`. Each pooled node's
+  // behaviour row is computed once (ComputeRow, on subtree completion) and
+  // the min-index checks read the rows.
   const Cell* cell = FindCell(q, size);
   assert(cell != nullptr && cell->computed);
   if (cell == nullptr || cell->estimate <= 0 || cell->groups.empty()) {
@@ -428,6 +280,9 @@ uint32_t NftaFpras::SampleFlatBatched(Rng& rng, NftaState q, size_t size,
     if (csum <= 0) continue;
     double rc = rng.UniformDouble() * csum;
     size_t j = PickIndex(g.prefix, rc);
+    // Reclaim rejected attempts by truncating back to the pre-attempt mark:
+    // it keeps surviving subtrees contiguous in preorder, so rows stay
+    // index-aligned with their nodes.
     size_t mark = ctx->pool.nodes.size();
     uint32_t t = SampleComponentFlatBatched(rng, g.components[j], ctx);
     if (t == TreePool::kNil) {
@@ -445,8 +300,8 @@ uint32_t NftaFpras::SampleFlatBatched(Rng& rng, NftaState q, size_t size,
     }
     ctx->pool.Truncate(mark);
   }
-  // Rejection budget exhausted: return any sample (slight bias), same
-  // fallback order as SampleFlat.
+  // Rejection budget exhausted: return any sample (slight bias) so callers
+  // always make progress on non-empty languages.
   for (const Group& g : cell->groups) {
     for (const Component& comp : g.components) {
       size_t mark = ctx->pool.nodes.size();
@@ -524,15 +379,18 @@ void NftaFpras::RunTrialsBatched(
 std::optional<LabeledTree> NftaFpras::Sample(Rng& rng, NftaState q,
                                              size_t size) {
   GetCell(q, size);  // builds every reachable cell (serial)
+  EnsureLeafRows();
+  // A one-trial batch: the same builder the KLM trials use.
   sample_ctx_.pool.Clear();
-  uint32_t root = SampleFlat(rng, q, size, &sample_ctx_);
+  uint32_t root = SampleFlatBatched(rng, q, size, &sample_ctx_);
   if (root == TreePool::kNil) return std::nullopt;
-  // Materialize the winner only (trial rejects never touch the heap).
+  // Materialize the winner only (rejected attempts never touch the heap).
+  const std::vector<TreePool::Node>& nodes = sample_ctx_.pool.nodes;
   std::function<LabeledTree(uint32_t)> build =
       [&](uint32_t n) -> LabeledTree {
-    LabeledTree out(sample_ctx_.pool.nodes[n].symbol);
-    for (uint32_t ch = sample_ctx_.pool.nodes[n].first_child;
-         ch != TreePool::kNil; ch = sample_ctx_.pool.nodes[ch].next_sibling) {
+    LabeledTree out(nodes[n].symbol);
+    for (uint32_t ch = nodes[n].first_child; ch != TreePool::kNil;
+         ch = nodes[ch].next_sibling) {
       out.children.push_back(build(ch));
     }
     return out;

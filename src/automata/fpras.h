@@ -139,15 +139,8 @@ class NftaFpras {
     void Truncate(size_t n) { nodes.resize(n); }
   };
 
-  /// Per-thread sampling context (pool + bitset scratch), owned by each
-  /// trial chunk / by the serial public Sample.
-  struct SampleCtx {
-    TreePool pool;
-    CompiledNfta::Workspace ws;
-  };
-
-  /// Per-chunk context for the lockstep trial batches: one shared
-  /// pool holds every trial's winning tree (rejected attempts are reclaimed
+  /// Per-chunk context for the lockstep trial batches (and, as a one-trial
+  /// batch, for the public Sample): one shared pool holds every trial's winning tree (rejected attempts are reclaimed
   /// by truncation), with a behaviour row maintained per pooled node —
   /// computed once in post-order as each subtree completes, so min-index
   /// checks at every nesting level read cached rows instead of
@@ -202,18 +195,18 @@ class NftaFpras {
                         uint64_t union_seed,
                         std::vector<std::pair<size_t, size_t>>* counts);
 
-  /// Min-index of a batch trial: like MinIndexFlat, but child behaviours
-  /// are read from the batch's cached rows instead of re-evaluated.
+  /// Index of the first component of `group` containing the pooled tree
+  /// `root`; -1 if none. Child behaviours are read from the batch's cached
+  /// rows, child sizes from the cached per-node sizes.
   int MinIndexBatched(const Group& group, uint32_t root,
                       const BatchCtx& ctx) const;
 
-  /// Row-caching mirrors of SampleFlat / SampleComponentFlat for the
-  /// batched path: identical RNG consumption and identical accept/reject
-  /// decisions (rows are bit-identical to the recursive evaluation), but
-  /// every pooled node's behaviour row is computed exactly once — in
-  /// post-order, as its subtree completes — so the nested min-index
-  /// rejection reads cached rows instead of re-running the bitset
-  /// evaluation at every nesting level.
+  /// Approximately-uniform flat sample from L(q, size) into ctx->pool
+  /// (TreePool::kNil if empty or rejected to exhaustion), and from one
+  /// component (a tuple of child samples). Every pooled node's behaviour
+  /// row is computed exactly once — in post-order, as its subtree completes
+  /// — so the nested min-index rejection reads cached rows instead of
+  /// re-running the bitset evaluation at every nesting level.
   uint32_t SampleFlatBatched(Rng& rng, NftaState q, size_t size,
                              BatchCtx* ctx);
   uint32_t SampleComponentFlatBatched(Rng& rng, const Component& c,
@@ -226,24 +219,6 @@ class NftaFpras {
   /// Lazily builds the per-symbol rank-0 behaviour rows the batched build
   /// copies for leaf nodes. Must be called before the parallel section.
   void EnsureLeafRows();
-
-  /// Uniform-ish flat sample from L(q, size) into ctx->pool; TreePool::kNil
-  /// if empty / rejected to exhaustion. Mirrors the legacy recursive
-  /// Sample() uniform-for-uniform.
-  uint32_t SampleFlat(Rng& rng, NftaState q, size_t size, SampleCtx* ctx);
-
-  /// Uniform-ish flat sample from one component (tuple of child samples).
-  uint32_t SampleComponentFlat(Rng& rng, const Component& c, SampleCtx* ctx);
-
-  /// Index of the first component of `group` containing the pooled tree
-  /// `root`; -1 if none. Child behaviours via the compiled bitset run,
-  /// child sizes from the cached per-node sizes.
-  int MinIndexFlat(const Group& group, uint32_t root, SampleCtx* ctx) const;
-
-  /// Bitset run over a pooled subtree: behaviour of `node` into slot
-  /// `base` of `ws` (scratch above, CompiledNfta::EvalInto discipline).
-  void EvalNodeBehavior(const TreePool& pool, uint32_t node,
-                        CompiledNfta::Workspace* ws, size_t base) const;
 
   /// The pool trials run on (lazily created when owned), or nullptr for
   /// serial execution.
@@ -264,7 +239,7 @@ class NftaFpras {
                      PairHash<NftaState, size_t>>
       cells_;
   size_t union_estimations_ = 0;
-  SampleCtx sample_ctx_;  // for the serial public Sample()
+  BatchCtx sample_ctx_;  // the serial public Sample()'s one-trial batch
 
   // Per-symbol rank-0 behaviour rows (words_per_set() words each), built
   // once on first batched estimation; leaves are the common case in trial
