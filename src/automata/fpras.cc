@@ -4,7 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <functional>
+#include <map>
 
 namespace uocqa {
 
@@ -22,6 +24,53 @@ size_t PickIndex(const std::vector<double>& prefix, double r) {
   return static_cast<size_t>(it - (prefix.begin() + 1));
 }
 
+/// Size-support rows are bitsets of `w` words: bit s stands for size s.
+bool HasSize(const uint64_t* row, size_t s) {
+  return (row[s >> 6] >> (s & 63)) & 1u;
+}
+
+/// Clears every bit above `max` in a `w`-word row.
+void ClearAbove(uint64_t* row, size_t w, size_t max) {
+  size_t last = max / 64;
+  if (last >= w) return;
+  if (max % 64 != 63) row[last] &= (uint64_t{2} << (max % 64)) - 1;
+  std::fill(row + last + 1, row + w, uint64_t{0});
+}
+
+/// out = {x + y : x ∈ a, y ∈ b, x + y <= max}; `out` aliases neither input.
+void Sumset(const uint64_t* a, const uint64_t* b, size_t w, size_t max,
+            uint64_t* out) {
+  std::fill(out, out + w, uint64_t{0});
+  for (size_t wa = 0; wa < w; ++wa) {
+    for (uint64_t bits = a[wa]; bits != 0; bits &= bits - 1) {
+      size_t x = wa * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+      if (x > max) break;
+      size_t shift_words = x / 64;
+      size_t shift_bits = x % 64;
+      for (size_t j = shift_words; j < w; ++j) {
+        uint64_t v = b[j - shift_words] << shift_bits;
+        if (shift_bits != 0 && j > shift_words) {
+          v |= b[j - shift_words - 1] >> (64 - shift_bits);
+        }
+        out[j] |= v;
+      }
+    }
+  }
+  ClearAbove(out, w, max);
+}
+
+/// The root of a group's trial streams: a function of the seed and the
+/// group's identity (its cell and its (symbol, child sizes) key) only.
+uint64_t UnionSeed(uint64_t seed, NftaState q, size_t size,
+                   const std::pair<NftaSymbol, std::vector<size_t>>& key) {
+  size_t h = q;
+  HashCombine(&h, size);
+  HashCombine(&h, key.first);
+  HashCombine(&h, key.second.size());
+  for (size_t s : key.second) HashCombine(&h, s);
+  return Rng::Stream(seed, h).NextU64();
+}
+
 }  // namespace
 
 NftaFpras::NftaFpras(const Nfta& nfta, FprasConfig config, ThreadPool* pool)
@@ -29,7 +78,6 @@ NftaFpras::NftaFpras(const Nfta& nfta, FprasConfig config, ThreadPool* pool)
       compiled_keep_(nfta.CompiledShared()),
       c_(*compiled_keep_),
       config_(config),
-      rng_(config.seed),
       external_pool_(pool) {}
 
 ThreadPool* NftaFpras::pool() {
@@ -46,60 +94,204 @@ const NftaFpras::Cell* NftaFpras::FindCell(NftaState q, size_t size) const {
   return it == cells_.end() ? nullptr : &it->second;
 }
 
-NftaFpras::Cell& NftaFpras::GetCell(NftaState q, size_t size) {
-  auto [it, inserted] = cells_.try_emplace({q, size});
-  Cell& cell = it->second;
-  if (cell.computed) return cell;
-  // Mark first to guard against (impossible) cycles: child sizes are
-  // strictly smaller.
-  cell.computed = true;
-  if (size == 0) return cell;
+bool NftaFpras::Supported(NftaState q, size_t size) const {
+  return size != 0 && size <= supp_max_ && q < c_.state_count() &&
+         HasSize(SupportRow(q), size);
+}
 
-  // Build components, grouped by (symbol, child sizes).
+void NftaFpras::EnsureSupport(size_t max_size) {
+  if (max_size <= supp_max_) return;
+  const size_t max = std::max(max_size, 2 * supp_max_);
+  const size_t w = max / 64 + 1;
+  const size_t n = c_.state_count();
+  const size_t t_count = c_.transition_count();
+  supp_.assign(n * w, 0);
+  supp_words_ = w;
+  supp_max_ = max;
+
+  // Transitions indexed by child state (CSR), so a state whose support grew
+  // re-queues exactly the transitions that read it.
+  std::vector<uint32_t> by_child_begin(n + 1, 0);
+  for (CompiledNfta::TransitionId t = 0; t < t_count; ++t) {
+    for (uint32_t i = 0; i < c_.rank(t); ++i) {
+      ++by_child_begin[c_.children(t)[i] + 1];
+    }
+  }
+  for (size_t q = 0; q < n; ++q) by_child_begin[q + 1] += by_child_begin[q];
+  std::vector<CompiledNfta::TransitionId> by_child(by_child_begin[n]);
+  std::vector<uint32_t> fill(by_child_begin.begin(), by_child_begin.end() - 1);
+  for (CompiledNfta::TransitionId t = 0; t < t_count; ++t) {
+    for (uint32_t i = 0; i < c_.rank(t); ++i) {
+      by_child[fill[c_.children(t)[i]]++] = t;
+    }
+  }
+
+  // Fixpoint: supp[q] ⊇ {1} for a leaf transition from q, and
+  // supp[q] ⊇ 1 + supp[q1] ⊕ … ⊕ supp[qr] for τ = (q, a, (q1..qr)).
+  std::deque<CompiledNfta::TransitionId> queue;
+  std::vector<uint8_t> queued(t_count, 0);
+  for (CompiledNfta::TransitionId t = 0; t < t_count; ++t) {
+    if (c_.rank(t) == 0) {
+      supp_[c_.from(t) * w] |= uint64_t{2};
+    } else {
+      queue.push_back(t);
+      queued[t] = 1;
+    }
+  }
+  std::vector<uint64_t> acc(w);
+  std::vector<uint64_t> next(w);
+  while (!queue.empty()) {
+    CompiledNfta::TransitionId t = queue.front();
+    queue.pop_front();
+    queued[t] = 0;
+    std::fill(acc.begin(), acc.end(), uint64_t{0});
+    acc[0] = 1;  // {0}
+    bool empty = false;
+    for (uint32_t i = 0; i < c_.rank(t) && !empty; ++i) {
+      Sumset(acc.data(), SupportRow(c_.children(t)[i]), w, max - 1,
+             next.data());
+      acc.swap(next);
+      empty = std::all_of(acc.begin(), acc.end(),
+                          [](uint64_t x) { return x == 0; });
+    }
+    if (empty) continue;
+    // Shift by one (the root node) and merge into supp[from].
+    uint64_t* row = supp_.data() + c_.from(t) * w;
+    bool grew = false;
+    for (size_t j = w; j-- > 0;) {
+      uint64_t shifted = (acc[j] << 1) | (j > 0 ? acc[j - 1] >> 63 : 0);
+      grew |= (shifted & ~row[j]) != 0;
+      row[j] |= shifted;
+    }
+    ClearAbove(row, w, max);
+    if (!grew) continue;
+    NftaState q = c_.from(t);
+    for (uint32_t k = by_child_begin[q]; k < by_child_begin[q + 1]; ++k) {
+      if (!queued[by_child[k]]) {
+        queued[by_child[k]] = 1;
+        queue.push_back(by_child[k]);
+      }
+    }
+  }
+}
+
+bool NftaFpras::Intersects(NftaState p, NftaState p2, size_t size) {
+  if (!Supported(p, size) || !Supported(p2, size)) return false;
+  if (p == p2) return true;
+  if (p > p2) std::swap(p, p2);
+  auto [it, inserted] =
+      intersects_.try_emplace({(uint64_t{p} << 32) | p2, size}, false);
+  // References into an unordered_map survive rehashing, so the recursion
+  // below may insert freely; child sizes are strictly smaller, so it never
+  // reads this entry before it is set.
+  bool& known = it->second;
+  if (!inserted) return known;
+  CompiledNfta::IdRange r1 = c_.TransitionsFrom(p);
+  CompiledNfta::IdRange r2 = c_.TransitionsFrom(p2);
+  for (CompiledNfta::TransitionId t1 = r1.begin; t1 < r1.end; ++t1) {
+    for (CompiledNfta::TransitionId t2 = r2.begin; t2 < r2.end; ++t2) {
+      if (c_.symbol(t1) == c_.symbol(t2) && c_.rank(t1) == c_.rank(t2) &&
+          ChildrenIntersect(c_.children(t1), c_.children(t2), c_.rank(t1),
+                            size - 1)) {
+        known = true;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool NftaFpras::ChildrenIntersect(const NftaState* a, const NftaState* b,
+                                  size_t rank, size_t remaining) {
+  if (rank == 0) return remaining == 0;
+  if (rank == 1) return Intersects(a[0], b[0], remaining);
+  for (size_t t = 1; t + rank - 1 <= remaining; ++t) {
+    if (Intersects(a[0], b[0], t) &&
+        ChildrenIntersect(a + 1, b + 1, rank - 1, remaining - t)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool NftaFpras::PairwiseDisjoint(const Group& group) {
+  // Group members share their symbol and child sizes, so two of them
+  // overlap iff their child languages intersect at every position.
+  const std::vector<Component>& comps = group.components;
+  for (size_t j = 0; j < comps.size(); ++j) {
+    const NftaState* kj = c_.children(comps[j].transition);
+    for (size_t k = j + 1; k < comps.size(); ++k) {
+      const NftaState* kk = c_.children(comps[k].transition);
+      bool overlap = true;
+      for (size_t i = 0; i < comps[j].child_sizes.size() && overlap; ++i) {
+        overlap = Intersects(kj[i], kk[i], comps[j].child_sizes[i]);
+      }
+      if (overlap) return false;
+    }
+  }
+  return true;
+}
+
+const NftaFpras::Cell& NftaFpras::GetCell(NftaState q, size_t size) {
+  static const Cell kEmpty;
+  if (!Supported(q, size)) return kEmpty;
+  auto [it, inserted] = cells_.try_emplace({q, size});
+  // Stable across rehashing; child sizes are strictly smaller, so the
+  // recursion below never returns this cell before it is complete.
+  Cell& cell = it->second;
+  if (!inserted) return cell;
+
+  // Build components, grouped by (symbol, child sizes). Only compositions
+  // whose every part lies in its child's support are enumerated: the
+  // suffix rows hold the sums the remaining positions can still reach.
+  const size_t w = supp_words_;
   std::map<std::pair<NftaSymbol, std::vector<size_t>>, size_t> group_index;
+  auto add = [&](CompiledNfta::TransitionId tid, std::vector<size_t> sizes,
+                 double prod) {
+    auto key = config_.group_disjoint_components
+                   ? std::make_pair(c_.symbol(tid), sizes)
+                   : std::make_pair(NftaSymbol{0}, std::vector<size_t>{});
+    auto [git, fresh] = group_index.try_emplace(key, cell.groups.size());
+    if (fresh) {
+      cell.groups.emplace_back();
+      cell.groups.back().union_seed = UnionSeed(config_.seed, q, size, key);
+    }
+    cell.groups[git->second].components.push_back(
+        Component{tid, std::move(sizes), prod});
+  };
+  std::vector<uint64_t> suffix;
   CompiledNfta::IdRange range = c_.TransitionsFrom(q);
   for (CompiledNfta::TransitionId tid = range.begin; tid < range.end; ++tid) {
     size_t rank = c_.rank(tid);
     if (rank == 0) {
-      if (size != 1) continue;
-      Component comp;
-      comp.transition = tid;
-      comp.size = 1.0;
-      auto key = config_.group_disjoint_components
-                     ? std::make_pair(c_.symbol(tid), std::vector<size_t>{})
-                     : std::make_pair(NftaSymbol{0}, std::vector<size_t>{});
-      auto [git, fresh] = group_index.try_emplace(key, cell.groups.size());
-      if (fresh) cell.groups.emplace_back();
-      cell.groups[git->second].components.push_back(std::move(comp));
+      if (size == 1) add(tid, {}, 1.0);
       continue;
     }
     if (size < rank + 1) continue;
     const NftaState* kids = c_.children(tid);
-    // Enumerate compositions of size-1 into `rank` positive parts.
-    std::vector<size_t> sizes(rank, 1);
+    // suffix row k = supp[kids[k]] ⊕ … ⊕ supp[kids[rank-1]]; row rank = {0}.
+    suffix.assign((rank + 1) * w, 0);
+    suffix[rank * w] = 1;
+    for (size_t k = rank; k-- > 0;) {
+      Sumset(SupportRow(kids[k]), suffix.data() + (k + 1) * w, w, size - 1,
+             suffix.data() + k * w);
+    }
+    if (!HasSize(suffix.data(), size - 1)) continue;
+    std::vector<size_t> sizes(rank, 0);
     std::function<void(size_t, size_t)> rec = [&](size_t pos,
                                                   size_t remaining) {
       if (pos == rank) {
-        if (remaining != 0) return;
         double prod = 1.0;
         for (size_t i = 0; i < rank && prod > 0; ++i) {
           prod *= GetCell(kids[i], sizes[i]).estimate;
         }
-        if (prod <= 0) return;
-        Component comp;
-        comp.transition = tid;
-        comp.child_sizes = sizes;
-        comp.size = prod;
-        auto key = config_.group_disjoint_components
-                       ? std::make_pair(c_.symbol(tid), sizes)
-                       : std::make_pair(NftaSymbol{0}, std::vector<size_t>{});
-        auto [git, fresh] = group_index.try_emplace(key, cell.groups.size());
-        if (fresh) cell.groups.emplace_back();
-        cell.groups[git->second].components.push_back(std::move(comp));
+        if (prod > 0) add(tid, sizes, prod);
         return;
       }
-      size_t max_here = remaining - (rank - pos - 1);
-      for (size_t si = 1; si <= max_here; ++si) {
+      const uint64_t* row = SupportRow(kids[pos]);
+      const uint64_t* rest = suffix.data() + (pos + 1) * w;
+      for (size_t si = 1; si <= remaining; ++si) {
+        if (!HasSize(row, si) || !HasSize(rest, remaining - si)) continue;
         sizes[pos] = si;
         rec(pos + 1, remaining - si);
       }
@@ -111,8 +303,6 @@ NftaFpras::Cell& NftaFpras::GetCell(NftaState q, size_t size) {
   cell.group_prefix.reserve(cell.groups.size() + 1);
   cell.group_prefix.push_back(0);
   for (Group& g : cell.groups) {
-    // Left-to-right prefix sums: prefix.back() reproduces the legacy
-    // accumulated `sum` bit-for-bit.
     g.prefix.reserve(g.components.size() + 1);
     g.prefix.push_back(0);
     for (const Component& comp : g.components) {
@@ -131,6 +321,10 @@ double NftaFpras::EstimateGroup(Group* group) {
   if (comps.empty()) return 0;
   double sum = group->prefix.back();
   if (comps.size() == 1 || sum <= 0) return sum;
+  if (config_.group_disjoint_components && PairwiseDisjoint(*group)) {
+    ++groups_disjoint_;
+    return sum;
+  }
 
   // Karp–Luby–Madras: estimate = sum * Pr[sampled (j, t) has j minimal].
   ++union_estimations_;
@@ -140,16 +334,16 @@ double NftaFpras::EstimateGroup(Group* group) {
       std::ceil(4.0 * static_cast<double>(m) *
                 std::log(4.0 / config_.delta) / (eps * eps)));
   samples = std::clamp(samples, config_.min_samples, config_.max_samples);
+  klm_trials_ += samples;
 
   // Trials are independent, so they run chunked; whatever the thread
   // count, chunk c always covers the same trials with the same RNG
   // streams, so estimates depend only on (automaton, config). Every cell a
   // trial samples from was computed while this group's components were
   // built, so the parallel section only reads `cells_`.
-  uint64_t union_seed = rng_.NextU64();
   size_t chunks = (samples + kTrialChunk - 1) / kTrialChunk;
   std::vector<std::pair<size_t, size_t>> counts(chunks);  // hits, performed
-  RunTrialsBatched(group, sum, samples, union_seed, &counts);
+  RunTrialsBatched(*group, sum, samples, &counts);
 
   size_t hits = 0;
   size_t performed = 0;
@@ -266,7 +460,7 @@ uint32_t NftaFpras::SampleFlatBatched(Rng& rng, NftaState q, size_t size,
   // behaviour row is computed once (ComputeRow, on subtree completion) and
   // the min-index checks read the rows.
   const Cell* cell = FindCell(q, size);
-  assert(cell != nullptr && cell->computed);
+  assert(cell != nullptr);
   if (cell == nullptr || cell->estimate <= 0 || cell->groups.empty()) {
     return TreePool::kNil;
   }
@@ -317,14 +511,14 @@ uint32_t NftaFpras::SampleFlatBatched(Rng& rng, NftaState q, size_t size,
 }
 
 void NftaFpras::RunTrialsBatched(
-    Group* group, double sum, size_t samples, uint64_t union_seed,
+    const Group& group, double sum, size_t samples,
     std::vector<std::pair<size_t, size_t>>* counts) {
   // One Rng stream per trial, chunks evaluated in lockstep phases. The
   // builds cache one behaviour row per pooled node (computed in post-order
   // as subtrees complete; truncation reclaims rejected attempts), so the
   // min-index checks — nested and top-level — read rows instead of
   // re-evaluating subtrees.
-  std::vector<Component>& comps = group->components;
+  const std::vector<Component>& comps = group.components;
   EnsureLeafRows();  // serial: the parallel section below only reads it
   auto run_chunk = [&](size_t c) {
     BatchCtx ctx;
@@ -337,9 +531,9 @@ void NftaFpras::RunTrialsBatched(
     ctx.rngs.reserve(n);
     ctx.picks.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      ctx.rngs.push_back(Rng::Stream(union_seed, begin + i));
+      ctx.rngs.push_back(Rng::Stream(group.union_seed, begin + i));
       double r = ctx.rngs.back().UniformDouble() * sum;
-      ctx.picks[i] = static_cast<uint32_t>(PickIndex(group->prefix, r));
+      ctx.picks[i] = static_cast<uint32_t>(PickIndex(group.prefix, r));
     }
 
     // Phase 2: batched row-caching tree builds into the shared pool, each
@@ -365,7 +559,7 @@ void NftaFpras::RunTrialsBatched(
     size_t hits = 0;
     for (size_t i = 0; i < n; ++i) {
       if (ctx.roots[i] == TreePool::kNil) continue;
-      int min_idx = MinIndexBatched(*group, ctx.roots[i], ctx);
+      int min_idx = MinIndexBatched(group, ctx.roots[i], ctx);
       assert(min_idx >= 0);
       if (min_idx >= 0 && static_cast<uint32_t>(min_idx) == ctx.picks[i]) {
         ++hits;
@@ -378,7 +572,9 @@ void NftaFpras::RunTrialsBatched(
 
 std::optional<LabeledTree> NftaFpras::Sample(Rng& rng, NftaState q,
                                              size_t size) {
-  GetCell(q, size);  // builds every reachable cell (serial)
+  EnsureSupport(size);
+  // Builds every reachable cell (serial).
+  if (GetCell(q, size).estimate <= 0) return std::nullopt;
   EnsureLeafRows();
   // A one-trial batch: the same builder the KLM trials use.
   sample_ctx_.pool.Clear();
@@ -399,6 +595,7 @@ std::optional<LabeledTree> NftaFpras::Sample(Rng& rng, NftaState q,
 }
 
 double NftaFpras::EstimateFrom(NftaState q, size_t size) {
+  EnsureSupport(size);
   return GetCell(q, size).estimate;
 }
 
@@ -408,6 +605,7 @@ double NftaFpras::EstimateExactSize(size_t size) {
 }
 
 double NftaFpras::EstimateUpTo(size_t max_size) {
+  EnsureSupport(max_size);
   double total = 0;
   for (size_t s = 1; s <= max_size; ++s) total += EstimateExactSize(s);
   return total;

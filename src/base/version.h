@@ -11,10 +11,11 @@
 namespace uocqa {
 
 /// The FPRAS seed schema — the trial RNG layout the estimator implements
-/// (one stream per trial, see docs/ARCHITECTURE.md). Reported by the
-/// version line and named by FprasConfig and Request, so recorded runs
-/// say which layout produced them.
-inline constexpr int kDefaultSeedSchema = 2;
+/// (union seeds keyed by cell and group, one stream per trial, see
+/// docs/ARCHITECTURE.md). Reported by the version line and named by
+/// FprasConfig and Request, so recorded runs say which layout produced
+/// them.
+inline constexpr int kDefaultSeedSchema = 3;
 
 /// The bare semantic version, e.g. "0.1.0" (from the CMake project
 /// version; "unknown" if the build did not inject one).
@@ -26,7 +27,7 @@ std::string VersionString();
 std::string VersionFields();
 
 /// Human-oriented one-line banner for startup logs, e.g.
-/// `uocqa 0.1.0 (simd=avx2, seed_schema=2)`.
+/// `uocqa 0.1.0 (simd=avx2, seed_schema=3)`.
 std::string VersionBanner();
 
 }  // namespace uocqa

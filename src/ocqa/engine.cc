@@ -15,6 +15,14 @@ namespace uocqa {
 
 namespace {
 
+/// Copies the estimator's work counters into the result.
+void FillWorkCounters(const NftaFpras& fpras, ApproxRF* out) {
+  out->union_trials = fpras.union_estimations();
+  out->klm_trials = fpras.klm_trials();
+  out->groups_disjoint = fpras.groups_disjoint();
+  out->cells = fpras.cells_built();
+}
+
 /// 0 = hardware concurrency, anything else verbatim.
 size_t ResolveThreads(size_t threads) {
   return threads == 0 ? HardwareThreads() : threads;
@@ -207,7 +215,7 @@ Result<ApproxRF> OcqaEngine::ApproxUr(const CompiledQuery& compiled,
   out.value = out.denominator > 0 ? out.numerator / out.denominator : 0.0;
   out.automaton_states = rep->nfta.state_count();
   out.automaton_transitions = rep->nfta.transition_count();
-  out.union_trials = fpras.union_estimations();
+  FillWorkCounters(fpras, &out);
   return out;
 }
 
@@ -225,7 +233,7 @@ Result<ApproxRF> OcqaEngine::ApproxUs(const CompiledQuery& compiled,
   out.value = out.denominator > 0 ? out.numerator / out.denominator : 0.0;
   out.automaton_states = seq->nfta.state_count();
   out.automaton_transitions = seq->nfta.transition_count();
-  out.union_trials = fpras.union_estimations();
+  FillWorkCounters(fpras, &out);
   return out;
 }
 

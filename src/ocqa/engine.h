@@ -64,10 +64,16 @@ struct ApproxRF {
   double value = 0;       ///< numerator / denominator (0 if denominator 0)
   size_t automaton_states = 0;
   size_t automaton_transitions = 0;
-  /// Union-estimation trials the FPRAS ran for this call (diagnostic; fully
-  /// determined by the config and automaton, so reporting it cannot perturb
-  /// the estimate).
+  // FPRAS work counters for this call (diagnostics; fully determined by the
+  // config and automaton, so reporting them cannot perturb the estimate).
+  /// KLM union estimations run (groups whose components really overlap).
   size_t union_trials = 0;
+  /// KLM trials run, summed over those unions.
+  size_t klm_trials = 0;
+  /// Multi-component groups proved pairwise disjoint and summed exactly.
+  size_t groups_disjoint = 0;
+  /// Non-empty (state, size) cells built.
+  size_t cells = 0;
 };
 
 /// The reusable output of the engine's shared pipeline prefix: the GHD of

@@ -248,8 +248,8 @@ Result<Request> ParseRequestLine(std::string_view line) {
     } else if (key == "seed_schema") {
       // One schema remains; the field is accepted so recorded request
       // files that name it explicitly still parse.
-      if (value != "2") {
-        return Status::InvalidArgument("seed_schema expects 2");
+      if (value != "3") {
+        return Status::InvalidArgument("seed_schema expects 3");
       }
     } else if (key == "explain") {
       if (value == "0") {

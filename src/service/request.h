@@ -83,7 +83,7 @@ struct Request {
   size_t samples = 20000;
   uint64_t seed = 1;
   /// FPRAS RNG-consumption schema (FprasConfig::seed_schema). The parser
-  /// accepts only the one implemented schema, 2; nothing reads the field.
+  /// accepts only the one implemented schema, 3; nothing reads the field.
   int seed_schema = kDefaultSeedSchema;
   /// `explain=1` extends the payload with the compiled plan's deterministic
   /// `plan_*` fields (join order, cost estimates, decomposition choice).

@@ -692,9 +692,7 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
       append(ur.ok() ? "fpras_ur=" + FormatDouble(ur->value) : "fpras_ur=na");
       Result<ApproxRF> us = engine.ApproxUs(**plan, answer, options);
       append(us.ok() ? "fpras_us=" + FormatDouble(us->value) : "fpras_us=na");
-      trace->AddCount("fpras_trials",
-                      (ur.ok() ? ur->union_trials : 0) +
-                          (us.ok() ? us->union_trials : 0));
+      AddFprasCounts(ur, us, trace);
     }
   }
   if (timed_out(&out)) return out;
@@ -779,6 +777,17 @@ ServiceStats QueryService::stats() const {
     out.pending = live_->pending();
   }
   return out;
+}
+
+void AddFprasCounts(const Result<ApproxRF>& ur, const Result<ApproxRF>& us,
+                    metrics::StageTrace* trace) {
+  auto sum = [&](size_t ApproxRF::*field) -> uint64_t {
+    return (ur.ok() ? (*ur).*field : 0) + (us.ok() ? (*us).*field : 0);
+  };
+  trace->AddCount("fpras_trials", sum(&ApproxRF::klm_trials));
+  trace->AddCount("fpras_unions", sum(&ApproxRF::union_trials));
+  trace->AddCount("fpras_groups_disjoint", sum(&ApproxRF::groups_disjoint));
+  trace->AddCount("fpras_cells", sum(&ApproxRF::cells));
 }
 
 }  // namespace uocqa

@@ -314,6 +314,13 @@ class QueryService {
   std::mutex slow_mu_;
 };
 
+/// Adds the FPRAS work counters of one request's RF_ur / RF_us estimates
+/// (a failed side counts zero) to `trace`: `fpras_trials` (KLM trials run),
+/// `fpras_unions`, `fpras_groups_disjoint` and `fpras_cells`. Shared by
+/// `trace=1` and `uocqa --profile`, so both report the same names.
+void AddFprasCounts(const Result<ApproxRF>& ur, const Result<ApproxRF>& us,
+                    metrics::StageTrace* trace);
+
 }  // namespace uocqa
 
 #endif  // UOCQA_SERVICE_SERVICE_H_

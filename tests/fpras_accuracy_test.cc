@@ -46,8 +46,8 @@ struct Tally {
   }
   /// δ plus a one-sided binomial margin of three standard deviations.
   double Bound() const {
-    return kDelta +
-           3.0 * std::sqrt(kDelta * (1 - kDelta) / static_cast<double>(checked));
+    double n = static_cast<double>(checked);
+    return kDelta + 3.0 * std::sqrt(kDelta * (1 - kDelta) / n);
   }
   double Share() const {
     return static_cast<double>(outside) / static_cast<double>(checked);

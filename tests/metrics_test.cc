@@ -213,7 +213,7 @@ TEST(VersionTest, FieldsNameTheActiveBackendAndSchema) {
   EXPECT_NE(fields.find("version="), std::string::npos);
   EXPECT_NE(fields.find(std::string("simd=") + simd::Active().name),
             std::string::npos);
-  EXPECT_NE(fields.find("seed_schema=2"), std::string::npos);
+  EXPECT_NE(fields.find("seed_schema=3"), std::string::npos);
   std::string banner = VersionBanner();
   EXPECT_NE(banner.find("uocqa "), std::string::npos);
   EXPECT_NE(banner.find(simd::Active().name), std::string::npos);

@@ -15,6 +15,8 @@
 #include "base/metrics.h"
 #include "base/version.h"
 #include "db/textio.h"
+#include "ocqa/engine.h"
+#include "query/parser.h"
 #include "service/live.h"
 #include "service/request.h"
 #include "service/service.h"
@@ -189,9 +191,33 @@ TEST(ObservabilityTest, TraceGrammarNamesStagesAndCounts) {
   for (const char* key :
        {"parse_us=", "result_cache_us=", "plan_us=", "compile_us=",
         "planner_us=", "fpras_trials_us=", "total_us=", "cache_hit=0",
-        "planner_nodes=", "fpras_trials="}) {
+        "planner_nodes=", "fpras_trials=", "fpras_unions=",
+        "fpras_groups_disjoint=", "fpras_cells="}) {
     EXPECT_NE(miss.trace.find(key), std::string::npos)
         << key << " missing from: " << miss.trace;
+  }
+  // The counts are the ApproxUr + ApproxUs work counters: on this instance
+  // every multi-component group is proved disjoint, so no KLM union runs.
+  OcqaEngine engine(inst.db, inst.keys);
+  OcqaOptions options;
+  options.fpras.epsilon = request.epsilon;
+  options.fpras.delta = request.delta;
+  options.fpras.seed = request.seed;
+  ConjunctiveQuery query = *ParseQuery(request.query_text);
+  std::vector<Value> answer = {ValuePool::Intern("e1")};
+  Result<ApproxRF> ur = engine.ApproxUr(query, answer, options);
+  Result<ApproxRF> us = engine.ApproxUs(query, answer, options);
+  ASSERT_TRUE(ur.ok() && us.ok());
+  EXPECT_EQ(ur->union_trials + us->union_trials, 0u);
+  EXPECT_GT(ur->groups_disjoint + us->groups_disjoint, 0u);
+  for (const std::string& count :
+       {" fpras_trials=" + std::to_string(ur->klm_trials + us->klm_trials),
+        std::string(" fpras_unions=0"),
+        " fpras_groups_disjoint=" +
+            std::to_string(ur->groups_disjoint + us->groups_disjoint),
+        " fpras_cells=" + std::to_string(ur->cells + us->cells)}) {
+    EXPECT_NE((miss.trace + " ").find(count + " "), std::string::npos)
+        << count << " missing from: " << miss.trace;
   }
   EXPECT_GT(miss.trace.find("total_us="), miss.trace.find("parse_us="));
 
@@ -287,7 +313,7 @@ TEST(ObservabilityTest, VersionVerbReportsBuildFields) {
   EXPECT_EQ(response.payload, VersionFields());
   EXPECT_NE(response.payload.find("version="), std::string::npos);
   EXPECT_NE(response.payload.find("simd="), std::string::npos);
-  EXPECT_NE(response.payload.find("seed_schema=2"), std::string::npos);
+  EXPECT_NE(response.payload.find("seed_schema=3"), std::string::npos);
 }
 
 TEST(ObservabilityTest, MetricsAndVersionParseAsBareVerbs) {

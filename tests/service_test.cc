@@ -162,8 +162,8 @@ TEST(RequestTest, RejectsInvalidAccuracyAndShape) {
   EXPECT_FALSE(ParseRequestLine("query='unterminated").ok());
   // Only the one implemented FPRAS seed schema is accepted.
   EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=1").ok());
-  EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=3").ok());
-  EXPECT_TRUE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=2").ok());
+  EXPECT_FALSE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=2").ok());
+  EXPECT_TRUE(ParseRequestLine("query='Ans() :- R(x)' seed_schema=3").ok());
   EXPECT_TRUE(ParseRequestLine("query='Ans() :- R(x)'").ok());
 }
 

@@ -269,8 +269,7 @@ int main(int argc, char** argv) {
         std::printf("fpras  RF_us unavailable: %s\n",
                     us.status().ToString().c_str());
       }
-      trace.AddCount("fpras_trials", (ur.ok() ? ur->union_trials : 0) +
-                                         (us.ok() ? us->union_trials : 0));
+      AddFprasCounts(ur, us, &trace);
     }
     if (all || opts.mode == "mc") {
       metrics::ScopedStage mc_stage(nullptr, &trace, "mc_trials_us");
