@@ -2,8 +2,10 @@
 // seeded small chain, star and cycle instances, the brute-force exact
 // numerators agree with the automaton's exact count, and the share of
 // ApproxUr / ApproxUs estimates outside (1±ε)·exact is at most δ plus a
-// binomial confidence margin. Any change to how the estimator draws its
-// randomness must keep this green before FPRAS pins are re-recorded.
+// binomial confidence margin. An estimate that ran no KLM union is a sum of
+// products of exact counts, so it must equal the exact count. Any change to
+// how the estimator draws its randomness must keep this green before FPRAS
+// pins are re-recorded.
 
 #include <gtest/gtest.h>
 
@@ -37,9 +39,17 @@ const char* const kQueries[] = {
 struct Tally {
   size_t checked = 0;
   size_t outside = 0;
-  void Add(double estimate, const BigInt& exact) {
+  size_t sampled = 0;  // estimates that ran KLM trials
+  size_t inexact = 0;  // estimates without trials that miss the exact count
+  void Add(const ApproxRF& approx, const BigInt& exact) {
     ++checked;
+    double estimate = approx.numerator;
     double want = exact.ToDouble();
+    if (approx.union_trials > 0) {
+      ++sampled;
+    } else if (estimate != want) {
+      ++inexact;
+    }
     bool in_bound = want == 0 ? estimate == 0
                               : std::abs(estimate - want) <= kEpsilon * want;
     if (!in_bound) ++outside;
@@ -91,13 +101,19 @@ TEST(FprasAccuracyTest, EstimatesWithinEpsilonOnRandomInstances) {
     auto us = engine.ApproxUs(*query, answer, options);
     ASSERT_TRUE(ur.ok()) << ur.status().ToString();
     ASSERT_TRUE(us.ok()) << us.status().ToString();
-    ur_tally.Add(ur->numerator, exact_ur.numerator);
-    us_tally.Add(us->numerator, exact_us.numerator);
+    ur_tally.Add(*ur, exact_ur.numerator);
+    us_tally.Add(*us, exact_us.numerator);
   }
-  std::printf("outside (1±ε): RF_ur %zu/%zu, RF_us %zu/%zu (bound %.3f)\n",
-              ur_tally.outside, ur_tally.checked, us_tally.outside,
-              us_tally.checked, ur_tally.Bound());
+  std::printf(
+      "outside (1±ε): RF_ur %zu/%zu, RF_us %zu/%zu (bound %.3f); "
+      "with KLM trials: RF_ur %zu, RF_us %zu\n",
+      ur_tally.outside, ur_tally.checked, us_tally.outside, us_tally.checked,
+      ur_tally.Bound(), ur_tally.sampled, us_tally.sampled);
   EXPECT_EQ(ur_tally.checked, kSeeds);
+  EXPECT_EQ(ur_tally.inexact, 0u);
+  EXPECT_EQ(us_tally.inexact, 0u);
+  // The gate is vacuous unless some estimates really ran KLM.
+  EXPECT_GT(ur_tally.sampled + us_tally.sampled, 20u);
   EXPECT_LE(ur_tally.Share(), ur_tally.Bound())
       << ur_tally.outside << " of " << ur_tally.checked << " RF_ur estimates";
   EXPECT_LE(us_tally.Share(), us_tally.Bound())
