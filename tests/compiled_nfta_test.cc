@@ -14,37 +14,10 @@
 #include "automata/fpras.h"
 #include "automata/nfta.h"
 #include "base/rng.h"
-#include "base/thread_pool.h"
+#include "random_automaton.h"
 
 namespace uocqa {
 namespace {
-
-/// 2..max_states states, 1..3 symbols, 4..max_transitions transitions of
-/// rank 0..3; initial state 0.
-Nfta RandomAutomaton(uint64_t seed, size_t max_states = 5,
-                     size_t max_transitions = 13) {
-  Rng rng(seed);
-  Nfta a;
-  size_t n_states = 2 + rng.UniformIndex(max_states - 1);
-  size_t n_symbols = 1 + rng.UniformIndex(3);
-  for (size_t i = 0; i < n_states; ++i) a.AddState();
-  for (size_t s = 0; s < n_symbols; ++s) {
-    a.InternSymbol("s" + std::to_string(s));
-  }
-  size_t n_transitions = 4 + rng.UniformIndex(max_transitions - 3);
-  for (size_t i = 0; i < n_transitions; ++i) {
-    NftaState from = static_cast<NftaState>(rng.UniformIndex(n_states));
-    NftaSymbol sym = static_cast<NftaSymbol>(rng.UniformIndex(n_symbols));
-    size_t rank = rng.UniformIndex(4);  // 0..3
-    std::vector<NftaState> children;
-    for (size_t r = 0; r < rank; ++r) {
-      children.push_back(static_cast<NftaState>(rng.UniformIndex(n_states)));
-    }
-    a.AddTransition(from, sym, std::move(children));
-  }
-  a.SetInitial(0);
-  return a;
-}
 
 // The pre-flattening membership oracle, kept verbatim as the reference:
 // bottom-up sorted behaviour vectors probed by binary_search.
@@ -526,67 +499,9 @@ TEST(FprasBitIdentityTest, RandomAutomataEstimatesPinnedV3) {
   }
 }
 
-// --- order independence ------------------------------------------------------
+// --- disjoint-only automata --------------------------------------------------
 //
-// Union seeds are keyed by cell identity, and empty cells are never built,
-// so an estimate is a function of (automaton, config, cell) alone: the same
-// bits from a fresh estimator as from one that built other cells first, in
-// any order, at any lane count.
-TEST(FprasOrderIndependenceTest, EstimatesDoNotDependOnVisitOrder) {
-  constexpr size_t kMaxSize = 8;
-  ThreadPool pool(4);
-  size_t with_unions = 0;
-  for (uint64_t seed = 1; seed <= 1000; ++seed) {
-    Nfta a = RandomAutomaton(seed, 8, 28);
-    FprasConfig cfg;
-    cfg.seed = seed;
-    // Three trial chunks per union (the last one partial), at unit-test speed.
-    cfg.min_samples = 64;
-    cfg.max_samples = 160;
-    Rng rng(seed ^ 0x5eedull);
-    struct Probe {
-      NftaState q;
-      size_t size;
-      double fresh;
-    };
-    std::vector<Probe> probes;
-    for (int i = 0; i < 3; ++i) {
-      NftaState q = static_cast<NftaState>(rng.UniformIndex(a.state_count()));
-      size_t size = 1 + rng.UniformIndex(kMaxSize);
-      NftaFpras fresh(a, cfg);
-      probes.push_back({q, size, fresh.EstimateFrom(q, size)});
-    }
-    NftaFpras fresh_upto(a, cfg);
-    double upto = fresh_upto.EstimateUpTo(kMaxSize);
-    if (fresh_upto.union_estimations() > 0) ++with_unions;
-
-    // Every cell first, in a shuffled order.
-    std::vector<std::pair<NftaState, size_t>> cells;
-    for (NftaState q = 0; q < a.state_count(); ++q) {
-      for (size_t size = 1; size <= kMaxSize; ++size) {
-        cells.push_back({q, size});
-      }
-    }
-    for (size_t i = cells.size(); i > 1; --i) {
-      std::swap(cells[i - 1], cells[rng.UniformIndex(i)]);
-    }
-    for (size_t lanes : {size_t{1}, size_t{4}}) {
-      FprasConfig warm_cfg = cfg;
-      warm_cfg.threads = lanes;
-      NftaFpras warm(a, warm_cfg, lanes == 1 ? nullptr : &pool);
-      for (const auto& [q, size] : cells) (void)warm.EstimateFrom(q, size);
-      for (const Probe& p : probes) {
-        EXPECT_EQ(warm.EstimateFrom(p.q, p.size), p.fresh)
-            << "seed " << seed << " lanes " << lanes << " state " << p.q
-            << " size " << p.size;
-      }
-      EXPECT_EQ(warm.EstimateUpTo(kMaxSize), upto)
-          << "seed " << seed << " lanes " << lanes;
-    }
-  }
-  // The property is vacuous without KLM unions; most automata have some.
-  EXPECT_GT(with_unions, 300u);
-}
+// (Order independence of the estimates is checked in fpras_order_test.cc.)
 
 // Two a-branches whose b-chains differ only in their leaf symbol: the group
 // (a, [s-1]) has k components that are pairwise disjoint, which only the
@@ -607,7 +522,7 @@ Nfta DisjointChainsAutomaton(int k) {
   return a;
 }
 
-TEST(FprasOrderIndependenceTest, DisjointOnlyAutomataAreExact) {
+TEST(FprasDisjointnessTest, DisjointOnlyAutomataAreExact) {
   struct Case {
     const char* name;
     Nfta nfta;
