@@ -163,7 +163,6 @@ void NftaFpras::EnsureSupport(size_t max_size) {
       grew |= (shifted & ~row[j]) != 0;
       row[j] |= shifted;
     }
-    ClearAbove(row, w, max);
     if (!grew) continue;
     NftaState q = c_.from(t);
     for (uint32_t k = by_child_begin[q]; k < by_child_begin[q + 1]; ++k) {
