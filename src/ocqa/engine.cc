@@ -178,13 +178,16 @@ const BigInt& OcqaEngine::CrsCount(ThreadPool* pool) const {
 ExactRF OcqaEngine::ExactUr(const ConjunctiveQuery& query,
                             const std::vector<Value>& answer_tuple) const {
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
-  return ExactRepairFrequency(db_, keys_, query, answer_tuple, &order);
+  return ExactRepairFrequency(db_, BlockPartition::Compute(db_, keys_),
+                              OrepCount(nullptr), query, answer_tuple, &order);
 }
 
 ExactRF OcqaEngine::ExactUs(const ConjunctiveQuery& query,
                             const std::vector<Value>& answer_tuple) const {
   std::vector<size_t> order = PlanOrderForTrials(db_, query);
-  return ExactSequenceFrequency(db_, keys_, query, answer_tuple, &order);
+  return ExactSequenceFrequency(db_, BlockPartition::Compute(db_, keys_),
+                                CrsCount(nullptr), query, answer_tuple,
+                                &order);
 }
 
 Result<ApproxRF> OcqaEngine::ApproxUr(const ConjunctiveQuery& query,

@@ -149,6 +149,9 @@ class OcqaEngine {
                                 const OcqaOptions& options = {}) const;
 
   // -- exact (exponential-time numerators; ground truth) --------------------
+  /// Numerators enumerate only the answer's support blocks (see
+  /// repairs/counting.h); denominators are the engine's cached |ORep| and
+  /// |CRS|.
   ExactRF ExactUr(const ConjunctiveQuery& query,
                   const std::vector<Value>& answer_tuple) const;
   ExactRF ExactUs(const ConjunctiveQuery& query,

@@ -27,6 +27,13 @@ LenPoly RunRecurrence(size_t n, std::vector<LenPoly> seeded) {
   return seeded[n];
 }
 
+/// The sequence polynomial of one block's outcome: keep one fact, or empty
+/// the block.
+LenPoly OutcomePoly(const Block& b, const BlockOutcome& outcome) {
+  return outcome.has_value() ? BlockKeepOnePoly(b.size() - 1)
+                             : BlockKeepNonePoly(b.size());
+}
+
 }  // namespace
 
 LenPoly BlockTotalPoly(size_t n) {
@@ -91,14 +98,7 @@ BigInt CountSequencesForOutcome(const BlockPartition& blocks,
   assert(outcomes.size() == blocks.block_count());
   LenPoly acc{BigInt(1)};
   for (size_t i = 0; i < blocks.block_count(); ++i) {
-    const Block& b = blocks.block(i);
-    LenPoly poly;
-    if (outcomes[i].has_value()) {
-      poly = BlockKeepOnePoly(b.size() - 1);
-    } else {
-      poly = BlockKeepNonePoly(b.size());
-    }
-    acc = InterleavePolys(acc, poly);
+    acc = InterleavePolys(acc, OutcomePoly(blocks.block(i), outcomes[i]));
     if (acc.empty()) return BigInt();
   }
   return PolySum(acc);
@@ -107,36 +107,35 @@ BigInt CountSequencesForOutcome(const BlockPartition& blocks,
 void ForEachRepair(
     const BlockPartition& blocks,
     const std::function<bool(const std::vector<BlockOutcome>&,
-                             const std::vector<FactId>&)>& fn) {
-  size_t m = blocks.block_count();
-  std::vector<BlockOutcome> outcomes(m);
+                             const std::vector<FactId>&)>& fn,
+    const std::vector<size_t>* vary) {
+  std::vector<size_t> all;
+  if (vary == nullptr) {
+    all.resize(blocks.block_count());
+    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+    vary = &all;
+  }
+  std::vector<BlockOutcome> outcomes(blocks.block_count());
   std::vector<FactId> kept;
-  // choice[i] in [0, options_i): for singleton blocks the only option keeps
-  // the fact; for larger blocks option 0..n-1 keeps fact j, option n drops
-  // the block.
-  std::function<bool(size_t)> rec = [&](size_t i) -> bool {
-    if (i == m) {
+  // At depth k, block (*vary)[k] tries its options in order: a singleton
+  // only keeps its fact; a larger block keeps fact 0..n-1, then is emptied.
+  std::function<bool(size_t)> rec = [&](size_t k) -> bool {
+    if (k == vary->size()) {
       std::vector<FactId> sorted = kept;
       std::sort(sorted.begin(), sorted.end());
       return fn(outcomes, sorted);
     }
+    size_t i = (*vary)[k];
     const Block& b = blocks.block(i);
-    if (b.size() == 1) {
-      outcomes[i] = b.facts[0];
-      kept.push_back(b.facts[0]);
-      bool go = rec(i + 1);
-      kept.pop_back();
-      return go;
-    }
     for (FactId f : b.facts) {
       outcomes[i] = f;
       kept.push_back(f);
-      bool go = rec(i + 1);
+      bool go = rec(k + 1);
       kept.pop_back();
       if (!go) return false;
     }
     outcomes[i] = std::nullopt;
-    return rec(i + 1);
+    return b.size() == 1 || rec(k + 1);
   };
   rec(0);
 }
@@ -157,48 +156,158 @@ bool RepairChecker::Entails(const std::vector<FactId>& kept) {
   return entails;
 }
 
+namespace {
+
+/// Marks the answer's support blocks: the blocks holding a fact of some
+/// image h(Q) with h(x̄) = c̄ over the full instance. nullopt when no such
+/// homomorphism exists. A homomorphism into a repair is one into db, so a
+/// repair's verdict depends only on the outcomes of these blocks.
+std::optional<std::vector<uint8_t>> SupportBlocks(
+    const Database& db, const BlockPartition& blocks,
+    const ConjunctiveQuery& query, const std::vector<Value>& answer_tuple,
+    const std::vector<size_t>& order) {
+  std::vector<RelationId> rels = ResolveAtomRelations(db, query);
+  std::vector<Fact> images(query.atom_count());
+  for (size_t a = 0; a < images.size(); ++a) {
+    images[a].relation = rels[a];
+    images[a].args.resize(query.atoms()[a].terms.size());
+  }
+  std::vector<uint8_t> in_support(blocks.block_count(), 0);
+  bool found = false;
+  QueryEvaluator eval(db, query, order);
+  eval.ForEachHomomorphism(answer_tuple, [&](const Assignment& h) {
+    found = true;
+    for (size_t a = 0; a < images.size(); ++a) {
+      const std::vector<Term>& terms = query.atoms()[a].terms;
+      for (size_t j = 0; j < terms.size(); ++j) {
+        images[a].args[j] = terms[j].is_const() ? terms[j].id : h[terms[j].id];
+      }
+      in_support[blocks.BlockOf(db.Find(images[a]))] = 1;
+    }
+    return true;
+  });
+  if (!found) return std::nullopt;
+  return in_support;
+}
+
+/// Sets out->numerator to the exact numerator over `blocks` — entailing
+/// repairs, or with `sequences` entailing complete repairing sequences — and
+/// adds the work done to out's counters. Only the support blocks vary;
+/// every other block is free, and its outcomes multiply each entailing
+/// support outcome by |B| + 1 repairs, or interleave it with
+/// BlockTotalPoly(|B|) sequences (BlockTotalPoly(n) = n·BlockKeepOnePoly(n−1)
+/// + BlockKeepNonePoly(n), and interleaving is bilinear).
+void CountEntailing(const Database& db, const BlockPartition& blocks,
+                    const ConjunctiveQuery& query,
+                    const std::vector<Value>& answer_tuple,
+                    const std::vector<size_t>* atom_order, bool sequences,
+                    ExactRF* out) {
+  out->numerator = BigInt();
+  std::vector<size_t> order =
+      atom_order ? *atom_order : GreedyAtomOrder(db, query);
+  std::optional<std::vector<uint8_t>> in_support =
+      SupportBlocks(db, blocks, query, answer_tuple, order);
+  if (!in_support.has_value()) return;
+
+  std::vector<size_t> support;
+  size_t max_block_size = 0;
+  BigInt free_repairs(1);
+  LenPoly free_sequences{BigInt(1)};
+  for (size_t i = 0; i < blocks.block_count(); ++i) {
+    size_t n = blocks.block(i).size();
+    if ((*in_support)[i] != 0) {
+      support.push_back(i);
+      max_block_size = std::max(max_block_size, n);
+      if (n >= 2) ++out->blocks_varied;
+    } else if (n >= 2 && sequences) {
+      free_sequences = InterleavePolys(free_sequences, BlockTotalPoly(n));
+    } else if (n >= 2) {
+      free_repairs *= static_cast<uint64_t>(n + 1);
+    }
+  }
+
+  RepairChecker checker(db, query, answer_tuple, &order);
+  // The weight of an entailing support outcome only depends on how many
+  // support blocks of each size it empties (interleaving is commutative and
+  // associative), so it is computed once per such signature.
+  std::vector<uint32_t> signature(max_block_size + 1);
+  std::map<std::vector<uint32_t>, BigInt> memo;
+  BigInt count;
+  ForEachRepair(
+      blocks,
+      [&](const std::vector<BlockOutcome>& outcomes,
+          const std::vector<FactId>& kept) {
+        ++out->repairs_checked;
+        if (!checker.Entails(kept)) return true;
+        if (!sequences) {
+          count += uint64_t{1};
+          return true;
+        }
+        std::fill(signature.begin(), signature.end(), 0);
+        for (size_t i : support) {
+          if (!outcomes[i].has_value()) ++signature[blocks.block(i).size()];
+        }
+        auto [it, inserted] = memo.try_emplace(signature);
+        if (inserted) {
+          LenPoly acc = free_sequences;
+          for (size_t i : support) {
+            acc = InterleavePolys(acc,
+                                  OutcomePoly(blocks.block(i), outcomes[i]));
+          }
+          it->second = PolySum(acc);
+        }
+        count += it->second;
+        return true;
+      },
+      &support);
+  out->numerator = sequences ? std::move(count) : count * free_repairs;
+}
+
+}  // namespace
+
 BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
                              const ConjunctiveQuery& query,
                              const std::vector<Value>& answer_tuple,
                              const std::vector<size_t>* atom_order) {
-  BlockPartition blocks = BlockPartition::Compute(db, keys);
-  RepairChecker checker(db, query, answer_tuple, atom_order);
-  BigInt count;
-  ForEachRepair(blocks, [&](const std::vector<BlockOutcome>&,
-                            const std::vector<FactId>& kept) {
-    if (checker.Entails(kept)) count += uint64_t{1};
-    return true;
-  });
-  return count;
+  ExactRF out;
+  CountEntailing(db, BlockPartition::Compute(db, keys), query, answer_tuple,
+                 atom_order, /*sequences=*/false, &out);
+  return std::move(out.numerator);
 }
 
 BigInt CountSequencesEntailing(const Database& db, const KeySet& keys,
                                const ConjunctiveQuery& query,
                                const std::vector<Value>& answer_tuple,
                                const std::vector<size_t>* atom_order) {
-  BlockPartition blocks = BlockPartition::Compute(db, keys);
-  RepairChecker checker(db, query, answer_tuple, atom_order);
-  size_t max_block_size = 0;
-  for (const Block& b : blocks.blocks()) {
-    max_block_size = std::max(max_block_size, b.size());
-  }
-  // Signature of an outcome: emptied blocks per block size.
-  std::vector<uint32_t> signature(max_block_size + 1);
-  std::map<std::vector<uint32_t>, BigInt> memo;
-  BigInt count;
-  ForEachRepair(blocks, [&](const std::vector<BlockOutcome>& outcomes,
-                            const std::vector<FactId>& kept) {
-    if (!checker.Entails(kept)) return true;
-    std::fill(signature.begin(), signature.end(), 0);
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (!outcomes[i].has_value()) ++signature[blocks.block(i).size()];
-    }
-    auto [it, inserted] = memo.try_emplace(signature);
-    if (inserted) it->second = CountSequencesForOutcome(blocks, outcomes);
-    count += it->second;
-    return true;
-  });
-  return count;
+  ExactRF out;
+  CountEntailing(db, BlockPartition::Compute(db, keys), query, answer_tuple,
+                 atom_order, /*sequences=*/true, &out);
+  return std::move(out.numerator);
+}
+
+ExactRF ExactRepairFrequency(const Database& db, const BlockPartition& blocks,
+                             BigInt denominator,
+                             const ConjunctiveQuery& query,
+                             const std::vector<Value>& answer_tuple,
+                             const std::vector<size_t>* atom_order) {
+  ExactRF out;
+  CountEntailing(db, blocks, query, answer_tuple, atom_order,
+                 /*sequences=*/false, &out);
+  out.denominator = std::move(denominator);
+  return out;
+}
+
+ExactRF ExactSequenceFrequency(const Database& db,
+                               const BlockPartition& blocks,
+                               BigInt denominator,
+                               const ConjunctiveQuery& query,
+                               const std::vector<Value>& answer_tuple,
+                               const std::vector<size_t>* atom_order) {
+  ExactRF out;
+  CountEntailing(db, blocks, query, answer_tuple, atom_order,
+                 /*sequences=*/true, &out);
+  out.denominator = std::move(denominator);
+  return out;
 }
 
 ExactRF ExactRepairFrequency(const Database& db, const KeySet& keys,
@@ -206,11 +315,9 @@ ExactRF ExactRepairFrequency(const Database& db, const KeySet& keys,
                              const std::vector<Value>& answer_tuple,
                              const std::vector<size_t>* atom_order) {
   BlockPartition blocks = BlockPartition::Compute(db, keys);
-  ExactRF out;
-  out.numerator =
-      CountRepairsEntailing(db, keys, query, answer_tuple, atom_order);
-  out.denominator = CountOperationalRepairs(blocks);
-  return out;
+  BigInt denominator = CountOperationalRepairs(blocks);
+  return ExactRepairFrequency(db, blocks, std::move(denominator), query,
+                              answer_tuple, atom_order);
 }
 
 ExactRF ExactSequenceFrequency(const Database& db, const KeySet& keys,
@@ -218,11 +325,9 @@ ExactRF ExactSequenceFrequency(const Database& db, const KeySet& keys,
                                const std::vector<Value>& answer_tuple,
                                const std::vector<size_t>* atom_order) {
   BlockPartition blocks = BlockPartition::Compute(db, keys);
-  ExactRF out;
-  out.numerator =
-      CountSequencesEntailing(db, keys, query, answer_tuple, atom_order);
-  out.denominator = CountCompleteSequencesExact(blocks);
-  return out;
+  BigInt denominator = CountCompleteSequencesExact(blocks);
+  return ExactSequenceFrequency(db, blocks, std::move(denominator), query,
+                                answer_tuple, atom_order);
 }
 
 }  // namespace uocqa

@@ -20,8 +20,14 @@
 //
 // Numerators |{D' ∈ ORep : c̄ ∈ Q(D')}| and |{s ∈ CRS : c̄ ∈ Q(s(D))}| are
 // #P-hard (Thm 3.4); this module provides exponential-time exact versions
-// (enumeration over block outcome vectors) used as ground truth for the
-// FPRAS and in the benchmarks that exhibit the exact-vs-approximate gap.
+// used as ground truth for the FPRAS and served by `mode=exact`. They first
+// compute the answer's support: every fact in some image h(Q) with
+// h(x̄) = c̄ over the full instance. A homomorphism into a repair is one
+// into D, so a repair's verdict depends only on the outcomes of the support
+// blocks (conflict blocks holding a support fact). Only those are
+// enumerated; every other block contributes a closed-form factor (|B| + 1
+// repairs, BlockTotalPoly(|B|) sequences). The work is exponential in the
+// number of support blocks, not of all blocks.
 
 #ifndef UOCQA_REPAIRS_COUNTING_H_
 #define UOCQA_REPAIRS_COUNTING_H_
@@ -76,12 +82,18 @@ BigInt CountSequencesForOutcome(const BlockPartition& blocks,
                                 const std::vector<BlockOutcome>& outcomes);
 
 /// Iterates over every operational repair (as an outcome vector plus the
-/// kept fact ids) until `fn` returns false. The number of repairs is the
-/// product of per-block choices — exponential; small inputs only.
+/// kept fact ids, sorted) until `fn` returns false. The number of repairs is
+/// the product of per-block choices — exponential; small inputs only.
+///
+/// `vary` optionally restricts the enumeration to the listed blocks
+/// (indices into blocks(), each once): every combination of their outcomes
+/// is visited, while every other block reports nullopt and contributes no
+/// fact to `kept`. nullptr varies all blocks.
 void ForEachRepair(
     const BlockPartition& blocks,
     const std::function<bool(const std::vector<BlockOutcome>&,
-                             const std::vector<FactId>&)>& fn);
+                             const std::vector<FactId>&)>& fn,
+    const std::vector<size_t>* vary = nullptr);
 
 /// Decides whether repairs of `db` entail `answer_tuple` under `query`,
 /// without materializing them. Each repair is evaluated as a view over the
@@ -115,20 +127,24 @@ class RepairChecker {
   QueryEvaluator eval_;
 };
 
-/// Exact numerator |{D' ∈ ORep(D,Sigma) : c̄ ∈ Q(D')}| by enumeration.
-/// `atom_order` optionally fixes the per-repair evaluator's atom order (a
-/// permutation of 0..atom_count-1, e.g. planned once against the full
-/// database); order affects enumeration cost only, never the count.
+/// Exact numerator |{D' ∈ ORep(D,Sigma) : c̄ ∈ Q(D')}| by enumeration of
+/// the support blocks' outcomes. `atom_order` optionally fixes the atom
+/// order of the support pass and of the per-repair evaluator (a permutation
+/// of 0..atom_count-1, e.g. planned once against the full database); order
+/// affects enumeration cost only, never the count.
 BigInt CountRepairsEntailing(const Database& db, const KeySet& keys,
                              const ConjunctiveQuery& query,
                              const std::vector<Value>& answer_tuple,
                              const std::vector<size_t>* atom_order = nullptr);
 
-/// Exact numerator |{s ∈ CRS(D,Sigma) : c̄ ∈ Q(s(D))}| by enumeration over
-/// outcomes with per-outcome sequence counting. CountSequencesForOutcome
-/// only depends on how many blocks of each size are emptied (block
-/// interleaving is commutative and associative), so it runs once per such
-/// signature and is looked up for every other entailing repair.
+/// Exact numerator |{s ∈ CRS(D,Sigma) : c̄ ∈ Q(s(D))}| by enumeration of
+/// the support blocks' outcomes with per-outcome sequence counting. An
+/// entailing outcome weighs PolySum of its support blocks' polynomials
+/// interleaved with the free blocks' BlockTotalPoly product (computed once
+/// per call). That weight only depends on how many support blocks of each
+/// size are emptied (block interleaving is commutative and associative), so
+/// it runs once per such signature and is looked up for every other
+/// entailing outcome.
 BigInt CountSequencesEntailing(const Database& db, const KeySet& keys,
                                const ConjunctiveQuery& query,
                                const std::vector<Value>& answer_tuple,
@@ -139,6 +155,11 @@ BigInt CountSequencesEntailing(const Database& db, const KeySet& keys,
 struct ExactRF {
   BigInt numerator;
   BigInt denominator;
+  // Work counters of the numerator (diagnostics; never change a count).
+  /// Repair views checked against the query.
+  uint64_t repairs_checked = 0;
+  /// Conflict blocks (>= 2 facts) varied after support pruning.
+  uint64_t blocks_varied = 0;
 
   double value() const {
     return denominator.IsZero() ? 0.0
@@ -158,6 +179,22 @@ ExactRF ExactRepairFrequency(const Database& db, const KeySet& keys,
 
 /// RF_us(D, Sigma, Q, c̄), exact (exponential-time numerator).
 ExactRF ExactSequenceFrequency(const Database& db, const KeySet& keys,
+                               const ConjunctiveQuery& query,
+                               const std::vector<Value>& answer_tuple,
+                               const std::vector<size_t>* atom_order =
+                                   nullptr);
+
+/// The same over a precomputed partition `blocks` of `db`, dividing by a
+/// caller-supplied `denominator` (|ORep| resp. |CRS| of `blocks`), e.g. a
+/// cached one: neither recomputes the partition or the denominator.
+ExactRF ExactRepairFrequency(const Database& db, const BlockPartition& blocks,
+                             BigInt denominator,
+                             const ConjunctiveQuery& query,
+                             const std::vector<Value>& answer_tuple,
+                             const std::vector<size_t>* atom_order = nullptr);
+ExactRF ExactSequenceFrequency(const Database& db,
+                               const BlockPartition& blocks,
+                               BigInt denominator,
                                const ConjunctiveQuery& query,
                                const std::vector<Value>& answer_tuple,
                                const std::vector<size_t>* atom_order =

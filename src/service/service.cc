@@ -286,10 +286,12 @@ void QueryService::RunSegmented(size_t count, const VerbOf& verb_of,
   // Write/epoch/wal verbs are serial barriers: every request before one
   // sees the pre-verb state, every request after it the post-verb state, at
   // any lane count — that is what makes mixed read/write batches
-  // deterministic.
+  // deterministic. `stats` and `metrics` are barriers too, so their
+  // counters cover exactly the requests before them.
   auto is_barrier = [](RequestVerb v) {
     return v == RequestVerb::kAddFact || v == RequestVerb::kBeginSnapshot ||
-           v == RequestVerb::kEpoch || v == RequestVerb::kWalSync;
+           v == RequestVerb::kEpoch || v == RequestVerb::kWalSync ||
+           v == RequestVerb::kStats || v == RequestVerb::kMetrics;
   };
   size_t start = 0;
   auto run_span = [&](size_t begin, size_t end) {
@@ -671,6 +673,7 @@ ServiceResponse QueryService::RunQueryCore(const Request& request,
            ur.denominator.ToString());
     append("exact_us=" + us.numerator.ToString() + "/" +
            us.denominator.ToString());
+    AddExactCounts(ur, us, trace);
   }
   if (timed_out(&out)) return out;
   if (all || request.mode == RequestMode::kFpras) {
@@ -777,6 +780,12 @@ ServiceStats QueryService::stats() const {
     out.pending = live_->pending();
   }
   return out;
+}
+
+void AddExactCounts(const ExactRF& ur, const ExactRF& us,
+                    metrics::StageTrace* trace) {
+  trace->AddCount("exact_repairs", ur.repairs_checked + us.repairs_checked);
+  trace->AddCount("exact_blocks", ur.blocks_varied + us.blocks_varied);
 }
 
 void AddFprasCounts(const Result<ApproxRF>& ur, const Result<ApproxRF>& us,

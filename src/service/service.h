@@ -155,8 +155,9 @@ class QueryService {
   /// Serves requests on `threads` lanes (0 = hardware concurrency,
   /// 1 = serial). Responses come back in request order and are bit-identical
   /// at every lane count: write/epoch verbs (`add_fact`, `begin_snapshot`,
-  /// `epoch`) act as serial barriers, and the query runs between them
-  /// execute concurrently against a fixed epoch.
+  /// `epoch`, `wal_sync`) and introspection verbs (`stats`, `metrics`) act
+  /// as serial barriers, and the query runs between them execute
+  /// concurrently against a fixed epoch.
   std::vector<ServiceResponse> ExecuteBatch(
       const std::vector<Request>& requests, size_t threads = 1);
 
@@ -263,10 +264,10 @@ class QueryService {
       const ConjunctiveQuery& query, metrics::StageTrace* trace = nullptr);
 
   /// Runs requests [0, count): barrier verbs (add_fact, begin_snapshot,
-  /// epoch, wal_sync) serially in order, the query spans between them in
-  /// parallel on BatchPool(threads) — the shared core of ExecuteBatch and
-  /// ExecuteBatchLines. With options_.max_queue > 0, span positions past
-  /// the limit are handed to `shed_one` instead of running.
+  /// epoch, wal_sync, stats, metrics) serially in order, the query spans
+  /// between them in parallel on BatchPool(threads) — the shared core of
+  /// ExecuteBatch and ExecuteBatchLines. With options_.max_queue > 0, span
+  /// positions past the limit are handed to `shed_one` instead of running.
   template <typename VerbOf, typename RunOne, typename ShedOne>
   void RunSegmented(size_t count, const VerbOf& verb_of, const RunOne& run_one,
                     const ShedOne& shed_one, size_t threads);
@@ -313,6 +314,13 @@ class QueryService {
   /// Serializes slow-query sink calls across batch lanes.
   std::mutex slow_mu_;
 };
+
+/// Adds the exact work counters of one request's RF_ur / RF_us numerators
+/// to `trace`: `exact_repairs` (repair views checked) and `exact_blocks`
+/// (conflict blocks varied after support pruning), both sides summed.
+/// Shared by `trace=1` and `uocqa --profile`, like AddFprasCounts.
+void AddExactCounts(const ExactRF& ur, const ExactRF& us,
+                    metrics::StageTrace* trace);
 
 /// Adds the FPRAS work counters of one request's RF_ur / RF_us estimates
 /// (a failed side counts zero) to `trace`: `fpras_trials` (KLM trials run),

@@ -226,6 +226,23 @@ TEST(ObservabilityTest, TraceGrammarNamesStagesAndCounts) {
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_NE(hit.trace.find("cache_hit=1"), std::string::npos);
   EXPECT_EQ(hit.trace.find("fpras_trials_us="), std::string::npos);
+
+  // An exact request reports the numerators' work counters: e1's support
+  // spans the blocks Emp(e1, ·) and Dept(hw, ·) (two facts each) and
+  // Dept(sw, carol), so each side varies 2 conflict blocks and checks
+  // 3 × 3 repair views.
+  request.mode = RequestMode::kExact;
+  ServiceResponse exact = service.Execute(request);
+  ASSERT_TRUE(exact.status.ok());
+  ExactRF exact_ur = engine.ExactUr(query, answer);
+  ExactRF exact_us = engine.ExactUs(query, answer);
+  EXPECT_EQ(exact_ur.repairs_checked + exact_us.repairs_checked, 18u);
+  EXPECT_EQ(exact_ur.blocks_varied + exact_us.blocks_varied, 4u);
+  for (const char* key : {"exact_dp_us=", " exact_repairs=18 ",
+                          " exact_blocks=4 ", "cache_hit=0"}) {
+    EXPECT_NE((exact.trace + " ").find(key), std::string::npos)
+        << key << " missing from: " << exact.trace;
+  }
 }
 
 // --- stats compatibility -----------------------------------------------------

@@ -421,6 +421,41 @@ TEST_F(ServiceTest, StatsVerbReportsCountersAndCachedPlans) {
   EXPECT_EQ(service.stats().requests, 1u);
 }
 
+TEST_F(ServiceTest, TrailingStatsLineIsABatchBarrier) {
+  // A stats line runs after every request before it, at any lane count, so
+  // its counters cover the whole batch ahead of it. Slow Monte-Carlo lines
+  // come first: a stats line run inside the parallel span would be reached
+  // by a lane while they are still pending.
+  std::vector<std::string> lines;
+  for (const char* mode : {"mc", "exact"}) {
+    for (const char* answer : {"e1", "e2", "e3", "hw"}) {
+      lines.push_back(std::string("query='Ans(x) :- Emp(x, y), Dept(y, z)' "
+                                  "answer=") +
+                      answer + " mode=" + mode + " samples=2000");
+    }
+  }
+  lines.push_back("stats");
+  auto field = [](const std::string& payload, const std::string& key) {
+    std::string text = " " + payload;
+    size_t at = text.find(" " + key + "=");
+    if (at == std::string::npos) return -1L;
+    return std::stol(text.substr(at + key.size() + 2));
+  };
+  for (int run = 0; run < 20; ++run) {
+    QueryService service(inst_.db, inst_.keys);
+    std::vector<ServiceResponse> responses =
+        service.ExecuteBatchLines(lines, 4);
+    ASSERT_EQ(responses.size(), 9u);
+    const ServiceResponse& stats = responses.back();
+    ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+    EXPECT_EQ(field(stats.payload, "requests"), 8) << stats.payload;
+    EXPECT_EQ(field(stats.payload, "result_hits") +
+                  field(stats.payload, "result_misses"),
+              8)
+        << stats.payload;
+  }
+}
+
 TEST_F(ServiceTest, SelfJoinFailsFprasButServesExactAndMc) {
   QueryService service(inst_.db, inst_.keys);
   Request r = MakeRequest("Ans() :- Emp(x, y), Emp(x, z)", "",

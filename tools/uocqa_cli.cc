@@ -245,6 +245,7 @@ int main(int argc, char** argv) {
       std::printf("exact  RF_us = %s / %s = %.6f\n",
                   us.numerator.ToString().c_str(),
                   us.denominator.ToString().c_str(), us.value());
+      AddExactCounts(ur, us, &trace);
     }
     if (all || opts.mode == "fpras") {
       OcqaOptions options;
